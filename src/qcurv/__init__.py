@@ -9,111 +9,4 @@ classifies when infinitely many such instants accumulate at the
 collapsed (t -> 0) or expanded (t -> infinity) end of the family.
 """
 
-from .algebra import (
-    LaurentPoly,
-    QuadExtValue,
-    RootBox,
-    format_rational,
-    isolate_positive_roots,
-    parse_rational,
-    quadext_sign,
-    root_is_simple,
-)
-from .asymptotics import (
-    AsymptoticVerdict,
-    CollapseVerdict,
-    DimPair,
-    classify,
-    collapse_criterion,
-    collapse_direct_check,
-    delta_rho,
-    expansion_criterion,
-    expansion_direct_check,
-    poly_abc,
-    q_limit_signs,
-    ratio_condition,
-    rhs_exceeds_rho_plus,
-)
-from .bifurcation import (
-    InstantReport,
-    Spectrum,
-    discriminant,
-    enumerate_instants,
-    find_instants,
-    jacobi_residual,
-    scalar_coincidence_poly,
-)
-from .catalog import (
-    HopfFamily,
-    TheoremARow,
-    appendix_q_poly,
-    appendix_ric_norm_poly,
-    appendix_ricci_eigenvalues,
-    appendix_scal_poly,
-    base_spectrum,
-    classify_family,
-    expected_verdicts,
-    hopf_data,
-    theorem_a_table,
-)
-from .errors import DomainError, ValidationError
-from .geometry import (
-    CurvaturePackage,
-    SubmersionData,
-    curvature_package,
-    einstein_q,
-    pointwise_q,
-    validate,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "LaurentPoly",
-    "QuadExtValue",
-    "RootBox",
-    "format_rational",
-    "isolate_positive_roots",
-    "parse_rational",
-    "quadext_sign",
-    "root_is_simple",
-    "AsymptoticVerdict",
-    "CollapseVerdict",
-    "DimPair",
-    "classify",
-    "collapse_criterion",
-    "collapse_direct_check",
-    "delta_rho",
-    "expansion_criterion",
-    "expansion_direct_check",
-    "poly_abc",
-    "q_limit_signs",
-    "ratio_condition",
-    "rhs_exceeds_rho_plus",
-    "InstantReport",
-    "Spectrum",
-    "discriminant",
-    "enumerate_instants",
-    "find_instants",
-    "jacobi_residual",
-    "scalar_coincidence_poly",
-    "HopfFamily",
-    "TheoremARow",
-    "appendix_q_poly",
-    "appendix_ric_norm_poly",
-    "appendix_ricci_eigenvalues",
-    "appendix_scal_poly",
-    "base_spectrum",
-    "classify_family",
-    "expected_verdicts",
-    "hopf_data",
-    "theorem_a_table",
-    "DomainError",
-    "ValidationError",
-    "CurvaturePackage",
-    "SubmersionData",
-    "curvature_package",
-    "einstein_q",
-    "pointwise_q",
-    "validate",
-]

@@ -1,23 +1,2 @@
 """Exact arithmetic: rationals, Laurent polynomials, root isolation,
 and signs in real quadratic extensions."""
-
-from .laurent import LaurentPoly, ONE, T, T_INV, ZERO
-from .quadext import QuadExtValue, quadext_sign, sqrt_interval
-from .rationals import format_rational, parse_rational
-from .roots import RootBox, isolate_positive_roots, root_is_simple
-
-__all__ = [
-    "LaurentPoly",
-    "ONE",
-    "T",
-    "T_INV",
-    "ZERO",
-    "QuadExtValue",
-    "quadext_sign",
-    "sqrt_interval",
-    "format_rational",
-    "parse_rational",
-    "RootBox",
-    "isolate_positive_roots",
-    "root_is_simple",
-]

@@ -41,10 +41,6 @@ def derivative(p: Sequence[Coeff]) -> Poly:
     return tuple(k * p[k] for k in range(1, len(p)))
 
 
-def scale(p: Sequence[Coeff], factor: Coeff) -> Poly:
-    return trim([c * factor for c in p])
-
-
 def monomial_substitute(p: Sequence[Coeff], factor: Coeff) -> Poly:
     """p(factor * x), exact when factor is an integer."""
     return trim([c * factor**k for k, c in enumerate(p)])
@@ -125,23 +121,8 @@ def poly_gcd(p: Sequence[Coeff], q: Sequence[Coeff]) -> Poly:
     a = tuple(Fraction(c) for c in trim(p))
     b = tuple(Fraction(c) for c in trim(q))
     while b:
-        a, b = b, _rem(a, b)
+        a, b = b, divmod_frac(a, b)[1]
     return to_integer(a)
-
-
-def _rem(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    rem = list(a)
-    lead = b[-1]
-    while len(rem) >= len(b):
-        if not rem[-1]:
-            rem.pop()
-            continue
-        factor = rem[-1] / lead
-        offset = len(rem) - len(b)
-        for i, c in enumerate(b):
-            rem[offset + i] -= factor * c
-        rem.pop()
-    return trim(rem)
 
 
 def squarefree_part(p: Sequence[int]) -> Poly:
@@ -158,23 +139,23 @@ def squarefree_part(p: Sequence[int]) -> Poly:
 
 
 def divmod_frac(p: Sequence[Coeff], d: Sequence[Coeff]) -> tuple[Poly, Poly]:
-    """Quotient and remainder over Q."""
-    rem = [Fraction(c) for c in trim(p)]
+    """Quotient and remainder over Q: the one Euclidean division here."""
+    rem = list(trim(p))
     den = trim(d)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    lead = Fraction(den[-1])
-    quot = [Fraction(0)] * max(len(rem) - len(den) + 1, 0)
+    lead, low = Fraction(den[-1]), den[:-1]
+    quot: list[Coeff] = [0] * max(len(rem) - len(den) + 1, 0)
     while len(rem) >= len(den):
-        factor = rem[-1] / lead
-        offset = len(rem) - len(den)
+        # The leading term cancels exactly, so it is popped, not subtracted.
+        factor = rem.pop() / lead
+        offset = len(rem) - len(low)
         quot[offset] = factor
-        for i, c in enumerate(den):
-            rem[offset + i] -= factor * Fraction(c)
-        rem.pop()
+        for i, c in enumerate(low):
+            rem[offset + i] -= factor * c
         while rem and not rem[-1]:
             rem.pop()
-    return trim(quot), trim(rem)
+    return tuple(quot), tuple(rem)
 
 
 def sturm_chain(p: Sequence[Coeff]) -> list[Poly]:
@@ -187,7 +168,7 @@ def sturm_chain(p: Sequence[Coeff]) -> list[Poly]:
     b = trim(derivative(a))
     while b:
         chain.append(b)
-        a, b = b, tuple(-c for c in _rem(a, b))
+        a, b = b, tuple(-c for c in divmod_frac(a, b)[1])
     return chain
 
 

@@ -14,7 +14,7 @@ from math import lcm
 from typing import Iterable, Mapping, Union
 
 from ..errors import DomainError
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational
 
 Scalar = Union[int, Fraction]
 
@@ -193,10 +193,6 @@ class LaurentPoly:
         """JSON object keyed by exponent (ascending), values in p/q form."""
         return {str(k): format_rational(c) for k, c in self._coeffs.items()}
 
-    @classmethod
-    def from_json(cls, obj: Mapping[str, str]) -> "LaurentPoly":
-        return cls({int(k): parse_rational(v) for k, v in obj.items()})
-
     def __repr__(self) -> str:
         if not self._coeffs:
             return "0"
@@ -228,9 +224,3 @@ def _coerce(value: object) -> LaurentPoly:
     if isinstance(value, (int, Fraction)):
         return LaurentPoly.const(value)
     return NotImplemented
-
-
-T = LaurentPoly.t_power(1)
-T_INV = LaurentPoly.t_power(-1)
-ZERO = LaurentPoly()
-ONE = LaurentPoly.const(1)

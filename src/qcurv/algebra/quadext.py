@@ -1,4 +1,4 @@
-"""Exact arithmetic and sign determination in Q(sqrt(d)).
+"""Exact sign determination in Q(sqrt(d)).
 
 The asymptotic criteria compare numbers of the form a + b*sqrt(d) with
 rational a, b and a nonnegative rational radicand d.  Signs are decided
@@ -8,7 +8,6 @@ by case analysis and squaring, never by floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 from typing import Union
 
 from ..errors import DomainError
@@ -32,57 +31,6 @@ class QuadExtValue:
         if self.d < 0:
             raise DomainError("negative radicand has no real square root")
 
-    def _lift(self, other: "QuadExtValue | Scalar") -> "QuadExtValue":
-        if isinstance(other, QuadExtValue):
-            if other.b and self.b and other.d != self.d:
-                raise DomainError("mixed radicands; reduce to a common extension first")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExtValue(other, 0, self.d)
-        return NotImplemented
-
-    def __add__(self, other: "QuadExtValue | Scalar") -> "QuadExtValue":
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = self.d if self.b else other.d
-        return QuadExtValue(self.a + other.a, self.b + other.b, d)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadExtValue":
-        return QuadExtValue(-self.a, -self.b, self.d)
-
-    def __sub__(self, other: "QuadExtValue | Scalar") -> "QuadExtValue":
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: Scalar) -> "QuadExtValue":
-        return (-self) + other
-
-    def __mul__(self, other: "QuadExtValue | Scalar") -> "QuadExtValue":
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = self.d if self.b else other.d
-        return QuadExtValue(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            d,
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (QuadExtValue, int, Fraction)):
-            return (self - other).sign() == 0
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        raise TypeError("QuadExtValue is unhashable; compare via sign()")
-
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}."""
         b = self.b if self.d else Fraction(0)
@@ -98,41 +46,7 @@ class QuadExtValue:
             return 0
         return sa if lhs > rhs else sb
 
-    def compare_to_rational(self, x: Scalar) -> int:
-        return (self - Fraction(x)).sign()
-
-    def interval(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        """Rational enclosure [lo, hi] with width at most 2**-bits."""
-        extra = abs(self.b.numerator).bit_length() + self.b.denominator.bit_length()
-        slo, shi = sqrt_interval(self.d, bits + extra + 1)
-        if self.b >= 0:
-            return self.a + self.b * slo, self.a + self.b * shi
-        return self.a + self.b * shi, self.a + self.b * slo
-
-    def __float__(self) -> float:
-        lo, hi = self.interval(64)
-        return float((lo + hi) / 2)
-
     def __repr__(self) -> str:
         if not self.b or not self.d:
             return f"QuadExtValue({self.a})"
         return f"QuadExtValue({self.a} + {self.b}*sqrt({self.d}))"
-
-
-def sqrt_interval(d: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Rational [lo, hi] containing sqrt(d) with width at most 2**-bits."""
-    d = Fraction(d)
-    if d < 0:
-        raise DomainError("negative radicand")
-    if not d:
-        return Fraction(0), Fraction(0)
-    num, den = d.numerator, d.denominator
-    shift = bits + den.bit_length()
-    s = isqrt(num * den << (2 * shift))
-    scale = den << shift
-    return Fraction(s, scale), Fraction(s + 1, scale)
-
-
-def quadext_sign(a: Scalar, b: Scalar, d: Scalar) -> int:
-    """Sign of a + b*sqrt(d) without constructing intermediate objects."""
-    return QuadExtValue(a, b, d).sign()

@@ -87,9 +87,6 @@ class RootBox:
     def is_exact(self) -> bool:
         return self.lo == self.hi
 
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def refine(self, width: Fraction | int | str) -> "RootBox":
         """Shrink the box to at most the requested width by bisection."""
         target = Fraction(width)

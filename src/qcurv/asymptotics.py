@@ -23,13 +23,12 @@ cases the criterion misses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .algebra.laurent import LaurentPoly
 from .algebra.quadext import QuadExtValue
 from .errors import DomainError
-from .geometry import SubmersionData, curvature_package
+from .geometry import CurvaturePackage, SubmersionData, curvature_package
 
 
 @dataclass(frozen=True)
@@ -148,60 +147,33 @@ def expansion_criterion(data: SubmersionData) -> bool:
     return ratio_condition(data)
 
 
-class CollapseVerdict(Enum):
-    INFINITE = "infinite"
-    FINITE = "finite"
+def _lambda_plus_sweeps(pkg: CurvaturePackage, e: int) -> bool:
+    """Leading-coefficient test at the end t -> 0 (e = -1) or t -> oo (e = +1).
 
-
-def collapse_direct_check(data: SubmersionData) -> CollapseVerdict:
-    """Leading-coefficient verification of accumulation at t -> 0.
-
-    INFINITE certifies infinitely many transversal instants near 0:
-    the discriminant alpha^2 - 2 beta blows up like t^-2 with positive
-    coefficient, lambda_t^+ sweeps to +infinity like 1/t, and the t^-3
-    leading coefficient of alpha_t' lambda_t^+ + beta_t' is nonzero.
-    FINITE means no such certificate exists; in particular a
-    discriminant without negative exponents (so lambda_t^+ stays
-    bounded), or a lambda_t^+ that sweeps to -infinity instead.
+    True when the discriminant alpha^2 - 2 beta grows like t^(2e) with
+    positive coefficient, lambda_t^+ sweeps to +infinity like t^e, and
+    the leading coefficient of alpha_t' lambda_t^+ + beta_t' is nonzero,
+    all decided in Q(sqrt of the discriminant coefficient).  The
+    discriminant has exponents only in t^-2..t^2, so its t^(2e)
+    coefficient is the leading one at that end or zero (no certificate).
     """
-    pkg = curvature_package(data)
-    alpha, beta = pkg.alpha, pkg.beta
-    disc = alpha * alpha - 2 * beta
-    if disc.is_zero or disc.min_exp >= 0:
-        return CollapseVerdict.FINITE
-    lead_disc = disc.coeff(-2)
-    if lead_disc <= 0:
-        return CollapseVerdict.FINITE
-    a_m1 = alpha.coeff(-1)
-    if QuadExtValue(-a_m1, 1, lead_disc).sign() != 1:
-        return CollapseVerdict.FINITE
-    b_m2 = beta.coeff(-2)
-    transversal_lead = QuadExtValue(a_m1 * a_m1 - 2 * b_m2, -a_m1, lead_disc)
-    if transversal_lead.sign() == 0:
-        return CollapseVerdict.FINITE
-    return CollapseVerdict.INFINITE
+    lead = pkg.discriminant.coeff(2 * e)
+    if lead <= 0:
+        return False
+    a_e = pkg.alpha.coeff(e)
+    if QuadExtValue(-a_e, 1, lead).sign() != 1:
+        return False
+    return QuadExtValue(a_e * a_e - 2 * pkg.beta.coeff(2 * e), -a_e, lead).sign() != 0
+
+
+def collapse_direct_check(data: SubmersionData) -> bool:
+    """Certificate of infinitely many transversal instants near t = 0."""
+    return _lambda_plus_sweeps(curvature_package(data), -1)
 
 
 def expansion_direct_check(data: SubmersionData) -> bool:
-    """Leading-coefficient verification of accumulation at t -> infinity.
-
-    True when the discriminant alpha^2 - 2 beta grows like t^2 with
-    positive coefficient, lambda_t^+ sweeps to +infinity linearly, and
-    the leading (t^1) coefficient of alpha_t' lambda_t^+ + beta_t' is
-    nonzero, all decided in Q(sqrt of the discriminant coefficient).
-    """
-    pkg = curvature_package(data)
-    alpha, beta = pkg.alpha, pkg.beta
-    disc = alpha * alpha - 2 * beta
-    lead_disc = disc.coeff(2) if not disc.is_zero else Fraction(0)
-    if lead_disc <= 0:
-        return False
-    a_1 = alpha.coeff(1)
-    if QuadExtValue(-a_1, 1, lead_disc).sign() != 1:
-        return False
-    b_2 = beta.coeff(2)
-    transversal_lead = QuadExtValue(-a_1 * a_1 + 2 * b_2, a_1, lead_disc)
-    return transversal_lead.sign() != 0
+    """Certificate of infinitely many transversal instants as t -> infinity."""
+    return _lambda_plus_sweeps(curvature_package(data), 1)
 
 
 def q_limit_signs(p: LaurentPoly) -> tuple[str, str]:
@@ -252,7 +224,7 @@ def classify(data: SubmersionData) -> AsymptoticVerdict:
     """Decide accumulation at both ends, preferring the general criterion."""
     if collapse_criterion(data):
         collapse, c_method = True, "criterion"
-    elif collapse_direct_check(data) is CollapseVerdict.INFINITE:
+    elif collapse_direct_check(data):
         collapse, c_method = True, "direct"
     else:
         collapse, c_method = False, "negative"

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 from .algebra.intpoly import trim
 from .algebra.laurent import LaurentPoly
@@ -52,15 +52,6 @@ class Spectrum:
             raise DomainError("eigenvalue index starts at 1")
         return Fraction(self.eigenvalue_fn(k))
 
-    def first(self, count: int) -> list[Fraction]:
-        return [self.eigenvalue(k) for k in range(1, count + 1)]
-
-    def __iter__(self) -> Iterator[Fraction]:
-        k = 1
-        while True:
-            yield self.eigenvalue(k)
-            k += 1
-
 
 @dataclass(frozen=True)
 class InstantReport:
@@ -87,12 +78,6 @@ def jacobi_residual(data: SubmersionData, lam: Scalar) -> LaurentPoly:
     lam = Fraction(lam)
     pkg = curvature_package(data)
     return Fraction(1, 2) * lam**2 + lam * pkg.alpha + pkg.beta
-
-
-def discriminant(data: SubmersionData) -> LaurentPoly:
-    """alpha_t^2 - 2 beta_t, whose nonnegativity admits real eigenbranches."""
-    pkg = curvature_package(data)
-    return pkg.alpha * pkg.alpha - 2 * pkg.beta
 
 
 def scalar_coincidence_poly(data: SubmersionData, lam: Scalar) -> LaurentPoly:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .algebra.laurent import LaurentPoly
 from .asymptotics import classify
@@ -238,15 +239,21 @@ def classify_family(fam: HopfFamily) -> TheoremARow:
     )
 
 
+def members(q_max: int) -> Iterator[HopfFamily]:
+    """Every family member with parameter <= q_max, in table order."""
+    for q in range(2, q_max + 1):
+        yield HopfFamily("i", q)
+    for name in ("ii", "iii"):
+        for q in range(1, q_max + 1):
+            yield HopfFamily(name, q)
+    yield HopfFamily("iv")
+
+
 def theorem_a_table(q_max: int) -> list[TheoremARow]:
     """Classification rows for every family member with parameter <= q_max."""
     if q_max < 2:
         raise DomainError("q_max must be at least 2 to include family (i)")
-    rows = [classify_family(HopfFamily("i", q)) for q in range(2, q_max + 1)]
-    rows += [classify_family(HopfFamily("ii", q)) for q in range(1, q_max + 1)]
-    rows += [classify_family(HopfFamily("iii", q)) for q in range(1, q_max + 1)]
-    rows.append(classify_family(HopfFamily("iv")))
-    return rows
+    return [classify_family(fam) for fam in members(q_max)]
 
 
 def expected_verdicts(fam: HopfFamily) -> tuple[bool, bool]:

@@ -170,21 +170,12 @@ def _cmd_theorem_a(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _iter_family_members(q_max: int):
-    for q in range(2, q_max + 1):
-        yield catalog.HopfFamily("i", q)
-    for name in ("ii", "iii"):
-        for q in range(1, q_max + 1):
-            yield catalog.HopfFamily(name, q)
-    yield catalog.HopfFamily("iv")
-
-
 def _cmd_verify_appendix(args: argparse.Namespace) -> int:
     if args.q_max < 2:
         raise UsageError("--q-max must be at least 2")
     failures: list[str] = []
     checked = 0
-    for fam in _iter_family_members(args.q_max):
+    for fam in catalog.members(args.q_max):
         pkg = geometry.curvature_package(catalog.hopf_data(fam))
         expected = {
             "Q": (catalog.appendix_q_poly(fam), pkg.q_curv),
@@ -199,7 +190,7 @@ def _cmd_verify_appendix(args: argparse.Namespace) -> int:
         for name, (display, derived) in expected.items():
             if display != derived:
                 failures.append(f"{fam}: {name} display {display!r} != derived {derived!r}")
-        limits = asymptotics.q_limit_signs(catalog.appendix_q_poly(fam))
+        limits = asymptotics.q_limit_signs(expected["Q"][0])
         want0, want_inf = catalog.expected_limit_signs(fam)
         if want0 is None:
             if limits[0].endswith("inf"):
@@ -236,12 +227,15 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.steps < 2:
         raise UsageError("--steps must be at least 2")
     pkg = geometry.curvature_package(data)
-    disc = pkg.alpha * pkg.alpha - 2 * pkg.beta
+    disc = pkg.discriminant
     lines = ["t,scal,Q,alpha,beta,discriminant"]
     for i in range(args.steps):
         t = lo + (hi - lo) * Fraction(i, args.steps - 1)
         row = [t, pkg.scal(t), pkg.q_curv(t), pkg.alpha(t), pkg.beta(t), disc(t)]
-        lines.append(",".join(format(float(v), ".17g") for v in row))
+        try:
+            lines.append(",".join(format(float(v), ".17g") for v in row))
+        except OverflowError:
+            raise UsageError("--t-range gives sample values beyond the float range") from None
     text = "\n".join(lines) + "\n"
     if args.out == "-":
         sys.stdout.write(text)

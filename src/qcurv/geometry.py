@@ -61,7 +61,13 @@ class SubmersionData:
 
 def validate(data: SubmersionData) -> list[str]:
     """All consistency violations, empty when the data is admissible."""
-    problems: list[str] = []
+    problems = [
+        f"{name}={value!r} must be an integer"
+        for name, value in (("n", data.n), ("l", data.l))
+        if type(value) is not int
+    ]
+    if problems:  # every check below does arithmetic on n and l
+        return problems
     if data.n < 5:
         problems.append(f"total dimension n={data.n} must be at least 5")
     if not 1 <= data.l < data.n:
@@ -112,6 +118,12 @@ class CurvaturePackage:
         "alpha",
         "beta",
     )
+
+    @property
+    def discriminant(self) -> LaurentPoly:
+        """alpha_t^2 - 2 beta_t, whose nonnegativity admits real eigenbranches."""
+        alpha, beta = self.alpha, self.beta
+        return alpha * alpha - 2 * beta
 
     def to_json(self) -> dict[str, dict[str, str]]:
         return {name: getattr(self, name).to_json() for name in self._FIELDS}

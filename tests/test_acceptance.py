@@ -33,17 +33,11 @@ from qcurv.catalog import (
     expected_limit_signs,
     expected_verdicts,
     hopf_data,
+    members,
     theorem_a_table,
 )
 from qcurv.geometry import SubmersionData, curvature_package, einstein_q
 from qcurv.algebra.roots import isolate_positive_roots
-
-
-def _members(q_max: int) -> list[HopfFamily]:
-    out = [HopfFamily("i", q) for q in range(2, q_max + 1)]
-    out += [HopfFamily(f, q) for f in ("ii", "iii") for q in range(1, q_max + 1)]
-    out.append(HopfFamily("iv"))
-    return out
 
 
 def _report(
@@ -60,15 +54,15 @@ def _report(
 def test_criterion_1_appendix_equivalence(acceptance_log) -> None:
     start = time.perf_counter()
     mismatches = []
-    members = _members(50)
-    for m in members:
+    fams = list(members(50))
+    for m in fams:
         pkg = curvature_package(hopf_data(m))
         if appendix_q_poly(m) != pkg.q_curv:
             mismatches.append(f"{m}: Q")
         if appendix_scal_poly(m) != pkg.scal:
             mismatches.append(f"{m}: scal")
     elapsed = time.perf_counter() - start
-    detail = f"{len(members)} members, {len(mismatches)} mismatches"
+    detail = f"{len(fams)} members, {len(mismatches)} mismatches"
     if mismatches:
         detail += ": " + "; ".join(mismatches[:4])
     _report(acceptance_log, 1, "appendix equivalence q<=50", not mismatches, detail, elapsed, 5.0)
@@ -77,8 +71,8 @@ def test_criterion_1_appendix_equivalence(acceptance_log) -> None:
 def test_criterion_2_round_sphere_identities(acceptance_log) -> None:
     start = time.perf_counter()
     failures = []
-    members = _members(20)
-    for m in members:
+    fams = list(members(20))
+    for m in fams:
         data = hopf_data(m)
         n = data.n
         pkg = curvature_package(data)
@@ -96,7 +90,7 @@ def test_criterion_2_round_sphere_identities(acceptance_log) -> None:
         if Fraction(n**2, 2) + at["alpha"] * n + at["beta"] != 0:
             failures.append(f"{m}: Jacobi kernel")
     elapsed = time.perf_counter() - start
-    detail = f"{len(members)} members at t=1, {len(failures)} failures"
+    detail = f"{len(fams)} members at t=1, {len(failures)} failures"
     if failures:
         detail += ": " + "; ".join(failures[:4])
     _report(acceptance_log, 2, "round-sphere identities", not failures, detail, elapsed, 1.0)
@@ -220,8 +214,8 @@ def test_criterion_6_instant_enumeration(acceptance_log) -> None:
 def test_criterion_7_appendix_limit_signs(acceptance_log) -> None:
     start = time.perf_counter()
     failures = []
-    members = _members(30)
-    for m in members:
+    fams = list(members(30))
+    for m in fams:
         at_zero, at_inf = q_limit_signs(appendix_q_poly(m))
         want_zero, want_inf = expected_limit_signs(m)
         if want_zero is None:
@@ -232,7 +226,7 @@ def test_criterion_7_appendix_limit_signs(acceptance_log) -> None:
         if at_inf != want_inf:
             failures.append(f"{m}: t->inf {at_inf} != {want_inf}")
     elapsed = time.perf_counter() - start
-    detail = f"{len(members)} members, {len(failures)} failures"
+    detail = f"{len(fams)} members, {len(failures)} failures"
     if failures:
         detail += ": " + "; ".join(failures[:4])
     _report(acceptance_log, 7, "appendix limit signs q<=30", not failures, detail, elapsed, 5.0)

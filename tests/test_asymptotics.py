@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from qcurv.algebra.laurent import LaurentPoly
 from qcurv.asymptotics import (
     AsymptoticVerdict,
-    CollapseVerdict,
     DimPair,
     classify,
     collapse_criterion,
@@ -26,7 +25,8 @@ from qcurv.asymptotics import (
     ratio_condition,
     rhs_exceeds_rho_plus,
 )
-from qcurv.catalog import HopfFamily, hopf_data
+from qcurv.algebra.quadext import QuadExtValue
+from qcurv.catalog import HopfFamily, hopf_data, members
 from qcurv.errors import DomainError
 from qcurv.geometry import SubmersionData
 
@@ -50,27 +50,38 @@ def test_dimensional_ranges_partition() -> None:
             assert sum(f(dp) for f in (in_range_d1, in_range_d2, in_range_d3)) <= 1
 
 
+def minus_rational(v: QuadExtValue, x: int) -> QuadExtValue:
+    """v - x, whose sign orders v against the rational x."""
+    return QuadExtValue(v.a - x, v.b, v.d)
+
+
 def test_sign_quadratic_frozen_values() -> None:
     assert poly_abc(DimPair(7, 3)) == (11241, -16704, -64512)
     assert poly_abc(DimPair(15, 7)) == (2348913, -542528, -752640)
     delta, rho_minus, rho_plus = delta_rho(DimPair(7, 3))
     assert delta == 3179741184
     assert rho_minus.sign() == -1
-    assert rho_plus.compare_to_rational(3) == 1
-    assert rho_plus.compare_to_rational(4) == -1
+    assert minus_rational(rho_plus, 3).sign() == 1
+    assert minus_rational(rho_plus, 4).sign() == -1
     delta15, _, rho_plus15 = delta_rho(DimPair(15, 7))
     assert delta15 == 7365880152064
-    assert rho_plus15.compare_to_rational(0) == 1
-    assert rho_plus15.compare_to_rational(1) == -1
+    assert minus_rational(rho_plus15, 0).sign() == 1
+    assert minus_rational(rho_plus15, 1).sign() == -1
 
 
 def test_rho_are_exact_roots_of_the_quadratic() -> None:
     for dp in (DimPair(7, 3), DimPair(15, 7), DimPair(11, 3), DimPair(23, 2)):
         a, b, c = poly_abc(dp)
-        _, rho_minus, rho_plus = delta_rho(dp)
+        delta, rho_minus, rho_plus = delta_rho(dp)
         for rho in (rho_minus, rho_plus):
-            assert (a * rho * rho + b * rho + c).sign() == 0
-        assert (rho_plus - rho_minus).sign() == 1
+            # a rho^2 + b rho + c with rho = p + r sqrt(delta), split into
+            # its rational part and its sqrt(delta) part; both must vanish.
+            p, r = rho.a, rho.b
+            assert rho.d == delta and r
+            assert a * (p * p + r * r * delta) + b * p + c == 0
+            assert r * (2 * a * p + b) == 0
+        # rho_+ - rho_- = 2 r sqrt(delta) with r > 0.
+        assert delta > 0 and rho_plus.a == rho_minus.a and rho_plus.b == -rho_minus.b > 0
 
 
 def test_etazeta_radicand_values() -> None:
@@ -128,8 +139,7 @@ def test_collapse_criterion_cases() -> None:
 )
 def test_collapse_direct_check_thresholds(family: str, expected: dict[int, bool]) -> None:
     for q, want in expected.items():
-        verdict = collapse_direct_check(hopf_data(HopfFamily(family, q)))
-        assert (verdict is CollapseVerdict.INFINITE) == want
+        assert collapse_direct_check(hopf_data(HopfFamily(family, q))) is want
 
 
 @pytest.mark.parametrize(
@@ -148,15 +158,12 @@ def test_expansion_direct_check_quaternionic_exceptional() -> None:
 
 def test_criterion_implies_direct_check() -> None:
     # The sufficient condition never contradicts the leading-term check.
-    members = [HopfFamily("i", q) for q in range(2, 31)]
-    members += [HopfFamily(f, q) for f in ("ii", "iii") for q in range(1, 31)]
-    members.append(HopfFamily("iv"))
-    for member in members:
+    for member in members(30):
         data = hopf_data(member)
         if expansion_criterion(data):
             assert expansion_direct_check(data)
         if collapse_criterion(data):
-            assert collapse_direct_check(data) is CollapseVerdict.INFINITE
+            assert collapse_direct_check(data)
 
 
 def test_classify_methods_and_json() -> None:

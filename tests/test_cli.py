@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -64,11 +65,13 @@ def test_curvature_custom_matches_family(capsys) -> None:
         ("sample", "--family", "ii", "--t-range", "2:1", "--steps", "5", "--out", "-"),
         ("sample", "--family", "ii", "--t-range", "1:2", "--steps", "1", "--out", "-"),
         ("sample", "--family", "ii", "--t-range", "1-2", "--steps", "5", "--out", "-"),
+        ("sample", "--family", "iv", "--t-range", f"1/{10**400}:1", "--steps", "3", "--out", "-"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv: tuple[str, ...]) -> None:
-    code, _out, _err = invoke(capsys, *argv)
+    code, _out, err = invoke(capsys, *argv)
     assert code == 2
+    assert err.startswith(("error:", "invalid input:", "usage:"))
 
 
 def test_invalid_custom_data_reports_violations(capsys) -> None:
@@ -212,21 +215,39 @@ def test_sample_stdout_equals_file_output(capsys, tmp_path: Path) -> None:
     assert target.read_text() == out
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("curvature", "--family", "ii", "--at", "3/2"),
-        ("instants", "--family", "ii", "--lambda", "16"),
-        ("instants", "--family", "ii", "--eigs", "3", "--window", "0:1"),
-        ("theorem-a", "--q-max", "5", "--json"),
-        ("asymptotics", "--family", "iii", "--q", "2"),
-    ],
-)
+# sha256 of stdout for each argv, pinned from a known-good build; a change
+# that alters any output byte must re-pin these deliberately.
+PINNED_STDOUT = {
+    ("curvature", "--family", "ii", "--at", "3/2"):
+        "313e32ba311013be6ff090ce3239683a21cd1ae266a55b72b526cfe71f63b65f",
+    ("instants", "--family", "ii", "--lambda", "16"):
+        "d93e3e816935a3505befd17d07bd51a4030a7d80980c10194f5f30c536d19973",
+    ("instants", "--family", "ii", "--eigs", "3", "--window", "0:1"):
+        "875a04ecef923b650bcbdcfbac715e88083ec8670c61def05f9b0e45866bf93a",
+    ("theorem-a", "--q-max", "5", "--json"):
+        "72cefab62c1238f2671280c6e7a4719ea303ac4f8ea966aa86516c27d1bb2f14",
+    ("asymptotics", "--family", "iii", "--q", "2"):
+        "1162f4b1655d931b6b638d6c100bfd2c86227c59867e9b618c3e61ae6ea96d92",
+    ("instants", "--family", "iv", "--eigs", "40", "--window", "0:inf"):
+        "92c80839dbc88f4f2b9cca5ac79935c9022a8d5941cc39ee99406d56865ca156",
+    ("theorem-a", "--q-max", "30"):
+        "db54be500aa0bad94ce23bb2569c0399f851b79874f75fac0035336c2d873137",
+    ("verify-appendix", "--q-max", "30"):
+        "655b517b738bd5fef9e6d6a5b4d3f2c9aefdabe4a1b2f2115c62952bc536e41d",
+    ("sample", "--family", "i", "--q", "3", "--t-range", "1/2:2", "--steps", "5", "--out", "-"):
+        "75ce758761be0b4818408c2dbe9b6e35110c1bd07ae3074bac710dbcf074ab7a",
+    ("curvature", "--custom", CUSTOM_7):
+        "8cbcea8c16e3888aae7bd69472227e01c7dda2590268106e7a5520124a23210a",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_STDOUT))
 def test_repeated_runs_are_byte_identical(capsys, argv: tuple[str, ...]) -> None:
     code_a, out_a, _ = invoke(capsys, *argv)
     code_b, out_b, _ = invoke(capsys, *argv)
     assert code_a == code_b == 0
     assert out_a == out_b
+    assert hashlib.sha256(out_a.encode()).hexdigest() == PINNED_STDOUT[argv]
 
 
 def test_module_entry_point() -> None:

@@ -53,6 +53,18 @@ def test_curvature_package_rejects_invalid_data() -> None:
     assert info.value.violations
 
 
+@pytest.mark.parametrize(
+    "n, l, field",
+    [(7.0, 3, "n=7.0"), ("7", 3, "n='7'"), (7, 3.0, "l=3.0"), (7, True, "l=True")],
+)
+def test_non_integer_dimensions_are_validation_errors(n, l, field: str) -> None:
+    data = SubmersionData(n, l, 3, 4, 2, 12)
+    assert any(p.startswith(field) for p in validate(data))
+    with pytest.raises(ValidationError) as info:
+        curvature_package(data)
+    assert any(p.startswith(field) for p in info.value.violations)
+
+
 def test_worked_example_polynomials() -> None:
     pkg = curvature_package(ROUND_7)
     assert pkg.scal == LaurentPoly({-1: 6, 0: 48, 1: -12})

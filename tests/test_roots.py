@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcurv.algebra.intpoly import count_roots_halfopen, derivative
+from qcurv.algebra.intpoly import count_roots_halfopen, derivative, divmod_frac
 from qcurv.algebra.roots import RootBox, isolate_positive_roots, root_is_simple
 
 
@@ -29,6 +29,22 @@ def assert_boxes_match(boxes: list[RootBox], roots: list[Fraction]) -> None:
     assert len(boxes) == len(roots)
     for box, r in zip(boxes, sorted(roots)):
         assert box.compare_to_rational(r) == 0
+
+
+@given(
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4), max_size=8),
+    st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=5).filter(lambda d: d[-1]),
+)
+def test_divmod_frac_is_euclidean_division(p: list[Fraction], d: list[int]) -> None:
+    quot, rem = divmod_frac(p, d)
+    assert len(rem) < len(d) and (not rem or rem[-1])
+    product = [Fraction(0)] * max(len(quot) + len(d) - 1, len(p), len(rem))
+    for i, c in enumerate(quot):
+        for j, e in enumerate(d):
+            product[i + j] += c * e
+    for k, c in enumerate(rem):
+        product[k] += c
+    assert product == [Fraction(c) for c in p] + [0] * (len(product) - len(p))
 
 
 def test_isolates_distinct_integer_roots() -> None:
@@ -96,7 +112,7 @@ def test_exact_box_comparisons() -> None:
     assert exact.compare(other) == -1
     assert other.compare(exact) == 1
     assert exact.compare(exact) == 0
-    assert exact.midpoint() == 1
+    assert exact.is_exact and exact.width == 0
 
 
 def test_compare_same_root_across_different_polynomials() -> None:
@@ -144,3 +160,84 @@ def test_isolation_recovers_prescribed_roots(roots: list[Fraction], zeros: int) 
     for box, r in zip(boxes, sorted(roots)):
         tight = box.refine(Fraction(1, 10**12))
         assert tight.lo <= r <= tight.hi
+
+
+# Laws of RootBox.compare and refine on boxes drawn from isolation.  Roots
+# are planted: rationals (some on the dyadic bisection grid, some not, all
+# drawn from a small pool so that polynomials share them) and sqrt(k) for
+# squarefree k.  Every root is positive, so roots compare like their
+# squares, which are rational; that is the exact oracle below.
+POOL = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(7, 3), Fraction(5, 2)]
+planted = st.tuples(
+    st.lists(
+        st.one_of(
+            st.sampled_from(POOL),
+            st.fractions(min_value=Fraction(1, 8), max_value=6, max_denominator=8),
+        ),
+        max_size=3,
+        unique=True,
+    ),
+    st.lists(st.sampled_from([2, 3, 5, 7]), max_size=2, unique=True),
+    st.booleans(),
+).filter(lambda drawn: drawn[0] or drawn[1])
+
+
+def planted_boxes(drawn: tuple[list[Fraction], list[int], bool]) -> list[tuple[RootBox, Fraction]]:
+    """Isolated boxes of the planted polynomial, each with its root squared."""
+    rationals, radicands, double = drawn
+    extra = [1]
+    for k in radicands:
+        extra = conv(extra, [-k, 0, 1])
+    # Optionally repeat the first planted root, so non-simple roots occur.
+    poly = poly_with_roots(rationals + rationals[:1] * double, extra=extra)
+    squares = sorted({r * r for r in rationals} | {Fraction(k) for k in radicands})
+    boxes = isolate_positive_roots(poly)
+    assert len(boxes) == len(squares)
+    return list(zip(boxes, squares))
+
+
+def sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(planted, min_size=2, max_size=3))
+def test_compare_is_a_total_order_on_isolated_roots(drawn: list) -> None:
+    items = [item for one in drawn for item in planted_boxes(one)]
+    order = [[a.compare(b) for b, _ in items] for a, _ in items]
+    for i, (_, sa) in enumerate(items):
+        for j, (_, sb) in enumerate(items):
+            assert order[i][j] == -order[j][i]  # antisymmetry
+            assert (order[i][j] == 0) == (sa == sb)  # equal exactly on a shared root
+            assert order[i][j] == sign(sa - sb)
+    n = len(items)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if order[i][j] <= 0 and order[j][k] <= 0:
+                    assert order[i][k] <= 0  # transitivity
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(planted, min_size=1, max_size=2))
+def test_compare_agrees_with_compare_to_rational_on_exact_boxes(drawn: list) -> None:
+    items = [item for one in drawn for item in planted_boxes(one)]
+    points = {r for rationals, _, _ in drawn for r in rationals}
+    exact = [RootBox(poly_with_roots([r]), r, r) for r in sorted(points)]
+    exact += [box for box, _ in items if box.is_exact]
+    for box, square in items:
+        for e in exact:
+            r = e.lo
+            assert box.compare(e) == box.compare_to_rational(r) == sign(square - r * r)
+            assert e.compare(box) == -box.compare_to_rational(r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted, st.fractions(min_value=Fraction(1, 10**12), max_value=4).filter(lambda w: w > 0))
+def test_refine_stays_inside_and_reaches_the_width(drawn, width: Fraction) -> None:
+    for box, _ in planted_boxes(drawn):
+        tight = box.refine(width)
+        assert box.lo <= tight.lo <= tight.hi <= box.hi
+        assert tight.width <= width
+        assert tight.poly == box.poly
+        assert tight.compare(box) == 0 and box.compare(tight) == 0
