@@ -2,9 +2,12 @@
 
 Coefficients are stored ascending (index k holds the t**k coefficient)
 with no trailing zeros, so the zero polynomial is the empty tuple.  The
-integer-only routines (Taylor shift, dyadic scaling, content) back the
-root isolation code; the Fraction-based ones (Euclidean gcd, Sturm
-chains) back the exact decision procedures.
+integer-only routines back the root isolation code: Taylor shift,
+dyadic scaling, content, the value of p at a dyadic point m / 2**k
+scaled to an integer, and the gcd, a primitive polynomial remainder
+sequence (pseudo-division, then division by the content at every step).
+Sturm chains, the division behind the squarefree part and the Cauchy
+root bound work over Q; none of them runs per bisection step.
 """
 
 from __future__ import annotations
@@ -34,6 +37,19 @@ def evaluate(p: Sequence[Coeff], x: Coeff) -> Coeff:
     acc: Coeff = 0
     for c in reversed(p):
         acc = acc * x + c
+    return acc
+
+
+def evaluate_dyadic(p: Sequence[int], m: int, k: int) -> int:
+    """2**(k * deg p) * p(m / 2**k) for integer p: an integer with the sign of p(m / 2**k).
+
+    Homogeneous Horner: the t**i coefficient is weighted by 2**(k * (deg p - i)).
+    """
+    acc = 0
+    shift = 0
+    for c in reversed(p):
+        acc = acc * m + (c << shift)
+        shift += k
     return acc
 
 
@@ -116,13 +132,39 @@ def sign_variations(values: Sequence[Coeff]) -> int:
     return count
 
 
-def poly_gcd(p: Sequence[Coeff], q: Sequence[Coeff]) -> Poly:
-    """Primitive integer gcd of two polynomials (Euclid over Q)."""
-    a = tuple(Fraction(c) for c in trim(p))
-    b = tuple(Fraction(c) for c in trim(q))
+def poly_gcd(p: Sequence[int], q: Sequence[int]) -> Poly:
+    """Primitive gcd of two integer polynomials, leading coefficient positive.
+
+    A primitive polynomial remainder sequence: each pseudo-remainder is
+    divided by its content, so coefficients stay as small as the gcd
+    allows and no rational number is formed.
+    """
+    a, b = primitive(trim(p)), primitive(trim(q))
     while b:
-        a, b = b, divmod_frac(a, b)[1]
-    return to_integer(a)
+        a, b = b, primitive(_pseudo_remainder(a, b))
+    if a and a[-1] < 0:
+        a = tuple(-c for c in a)
+    return a
+
+
+def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Remainder of c * a divided by b, c a power of b's leading coefficient.
+
+    Each step scales the running remainder by the leading coefficient of
+    b before cancelling its top term, so all arithmetic is in the
+    integers; when deg a < deg b the remainder is a itself.
+    """
+    rem = list(a)
+    lead, low = b[-1], b[:-1]
+    while len(rem) >= len(b):
+        top = rem.pop()
+        offset = len(rem) - len(low)
+        rem = [c * lead for c in rem]
+        for i, c in enumerate(low):
+            rem[offset + i] -= top * c
+        while rem and not rem[-1]:
+            rem.pop()
+    return rem
 
 
 def squarefree_part(p: Sequence[int]) -> Poly:
@@ -139,7 +181,7 @@ def squarefree_part(p: Sequence[int]) -> Poly:
 
 
 def divmod_frac(p: Sequence[Coeff], d: Sequence[Coeff]) -> tuple[Poly, Poly]:
-    """Quotient and remainder over Q: the one Euclidean division here."""
+    """Quotient and remainder over Q: the one division over Q here."""
     rem = list(trim(p))
     den = trim(d)
     if not den:
@@ -179,7 +221,7 @@ def sturm_count(chain: Sequence[Poly], lo: Coeff, hi: Coeff) -> int:
     return at_lo - at_hi
 
 
-def count_roots_halfopen(p: Sequence[Coeff], lo: Coeff, hi: Coeff) -> int:
+def count_roots_halfopen(p: Sequence[int], lo: Coeff, hi: Coeff) -> int:
     """Distinct real roots of p in (lo, hi], multiplicities ignored.
 
     The squarefree part is taken first: zero-skipping sign variations

@@ -8,14 +8,24 @@ roots of any multiplicity are isolated; the original polynomial is kept
 on the box because multiplicity questions (simplicity, common roots
 with another polynomial) are asked about it, not about the radical.
 
-Boxes are immutable.  Refinement returns a new, narrower box; a
-bisection point that happens to hit the root exactly collapses the box
-to width zero.
+Every box endpoint is dyadic: the search works on [0, 2**b] and each
+later step halves an interval.  The sign of p at m / 2**k is the sign
+of the integer 2**(k deg p) p(m / 2**k), so box checks, comparisons
+with a rational and refinement evaluate in integers, and refinement
+bisects integer numerators over a power of two, building a Fraction
+only for the box it returns.  A non-dyadic point is evaluated over Q.
+
+Boxes are immutable to their users.  Refinement returns a new, narrower
+box; a bisection point that happens to hit the root exactly collapses
+the box to width zero.  ``compare`` keeps, in a private slot, the
+narrowest sub-box it has found for each box and starts the next
+comparison from there; ``lo``, ``hi`` and refinement are unaffected.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from ..errors import DomainError
@@ -27,6 +37,7 @@ from .intpoly import (
     derivative,
     divexact_x_minus_1,
     evaluate,
+    evaluate_dyadic,
     monomial_substitute,
     poly_gcd,
     primitive,
@@ -43,6 +54,13 @@ def _sign(x: Coeff) -> int:
     return (x > 0) - (x < 0)
 
 
+def _sign_at(p: Sequence[int], num: int, den: int) -> int:
+    """Sign of p(num / den) for den > 0, in integers when den is a power of two."""
+    if den & (den - 1):
+        return _sign(evaluate(p, Fraction(num, den)))
+    return _sign(evaluate_dyadic(p, num, den.bit_length() - 1))
+
+
 class RootBox:
     """An interval (lo, hi) containing exactly one real root of ``poly``.
 
@@ -51,7 +69,7 @@ class RootBox:
     across the interval and neither endpoint is a root.
     """
 
-    __slots__ = ("poly", "lo", "hi", "_sqfree", "_sign_lo")
+    __slots__ = ("poly", "lo", "hi", "_sqfree", "_sign_lo", "_narrow")
 
     def __init__(
         self,
@@ -68,13 +86,15 @@ class RootBox:
         if self.lo > self.hi:
             raise DomainError("root box interval is reversed")
         self._sqfree = _sqfree if _sqfree is not None else squarefree_part(self.poly)
+        # The narrowest sub-box found by compare; None until it refines this box.
+        self._narrow: RootBox | None = None
         if self.lo == self.hi:
-            if evaluate(self.poly, self.lo):
+            if _sign_at(self.poly, self.lo.numerator, self.lo.denominator):
                 raise DomainError("exact root box endpoint is not a root")
             self._sign_lo = 0
         else:
-            s_lo = _sign(evaluate(self._sqfree, self.lo))
-            s_hi = _sign(evaluate(self._sqfree, self.hi))
+            s_lo = _sign_at(self._sqfree, self.lo.numerator, self.lo.denominator)
+            s_hi = _sign_at(self._sqfree, self.hi.numerator, self.hi.denominator)
             if s_lo * s_hi >= 0:
                 raise DomainError("root box does not bracket a sign change")
             self._sign_lo = s_lo
@@ -94,17 +114,22 @@ class RootBox:
             raise DomainError("refinement width must be positive")
         if self.is_exact:
             return self
-        lo, hi = self.lo, self.hi
-        while hi - lo > target:
-            mid = (lo + hi) / 2
-            v = evaluate(self._sqfree, mid)
-            if not v:
-                return RootBox(self.poly, mid, mid, self._sqfree)
-            if _sign(v) == self._sign_lo:
+        # lo / den and hi / den; den doubles at every bisection, so it stays
+        # a power of two when the endpoints are dyadic.
+        den = lcm(self.lo.denominator, self.hi.denominator)
+        lo = self.lo.numerator * (den // self.lo.denominator)
+        hi = self.hi.numerator * (den // self.hi.denominator)
+        while (hi - lo) * target.denominator > target.numerator * den:
+            mid = lo + hi
+            lo, hi, den = 2 * lo, 2 * hi, 2 * den
+            s = _sign_at(self._sqfree, mid, den)
+            if not s:
+                return RootBox(self.poly, Fraction(mid, den), Fraction(mid, den), self._sqfree)
+            if s == self._sign_lo:
                 lo = mid
             else:
                 hi = mid
-        return RootBox(self.poly, lo, hi, self._sqfree)
+        return RootBox(self.poly, Fraction(lo, den), Fraction(hi, den), self._sqfree)
 
     def compare_to_rational(self, x: Fraction | int) -> int:
         """Sign of (root - x), decided exactly."""
@@ -115,44 +140,51 @@ class RootBox:
             return 1
         if x >= self.hi:
             return -1
-        v = evaluate(self._sqfree, x)
-        if not v:
+        s = _sign_at(self._sqfree, x.numerator, x.denominator)
+        if not s:
             return 0
-        return 1 if _sign(v) == self._sign_lo else -1
+        return 1 if s == self._sign_lo else -1
 
     def compare(self, other: "RootBox") -> int:
-        """Total order on the isolated roots (0 when they coincide)."""
-        if self.is_exact and other.is_exact:
-            return _sign(self.lo - other.lo)
-        if self.is_exact:
-            return -other.compare_to_rational(self.lo)
-        if other.is_exact:
-            return self.compare_to_rational(other.lo)
+        """Total order on the isolated roots (0 when they coincide).
+
+        Each side starts from the narrowest sub-box an earlier comparison
+        found for it, and the sub-boxes found here are kept for the next.
+        """
+        a, b = self._narrow or self, other._narrow or other
+        if a.is_exact and b.is_exact:
+            return _sign(a.lo - b.lo)
+        if a.is_exact:
+            return -b.compare_to_rational(a.lo)
+        if b.is_exact:
+            return a.compare_to_rational(b.lo)
+        if a.hi <= b.lo:
+            return -1
+        if b.hi <= a.lo:
+            return 1
+        # The boxes overlap.  Each holds one root and no root at an endpoint,
+        # so a root of the gcd inside both is the root of each.
         common = poly_gcd(self.poly, other.poly)
-        a, b = self, other
-        first = True
+        if degree(common) >= 1:
+            if count_roots_halfopen(common, max(a.lo, b.lo), min(a.hi, b.hi)):
+                return 0
         while True:
+            a = self._narrow = a.refine(a.width / 4)
+            b = other._narrow = b.refine(b.width / 4)
+            if a.is_exact or b.is_exact:
+                return a.compare(b)
             if a.hi <= b.lo:
                 return -1
             if b.hi <= a.lo:
                 return 1
-            if first and degree(common) >= 1:
-                ilo, ihi = max(a.lo, b.lo), min(a.hi, b.hi)
-                if count_roots_halfopen(common, ilo, ihi):
-                    return 0
-            first = False
-            a = a.refine(a.width / 4)
-            b = b.refine(b.width / 4)
-            if a.is_exact or b.is_exact:
-                return a.compare(b)
 
-    def vanishes_at_root(self, g: Sequence[Coeff]) -> bool:
+    def vanishes_at_root(self, g: Sequence[int]) -> bool:
         """Whether the polynomial g has a zero at this box's root."""
         g = trim(g)
         if not g:
             return True
         if self.is_exact:
-            return not evaluate(g, self.lo)
+            return not _sign_at(g, self.lo.numerator, self.lo.denominator)
         h = poly_gcd(self.poly, g)
         if degree(h) < 1:
             return False

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from typing import Callable, Union
 
 from .algebra.intpoly import trim
 from .algebra.laurent import LaurentPoly
 from .algebra.roots import RootBox, isolate_positive_roots, root_is_simple
 from .errors import DomainError
-from .geometry import SubmersionData, curvature_package
+from .geometry import CurvaturePackage, SubmersionData, curvature_package
 
 Scalar = Union[int, Fraction]
 Window = tuple[Fraction, Union[Fraction, None]]
@@ -73,10 +73,20 @@ class InstantReport:
         }
 
 
+@lru_cache(maxsize=1)
+def _package(data: SubmersionData) -> CurvaturePackage:
+    """The curvature package of the latest datum only.
+
+    enumerate_instants asks for the package of one datum once per
+    eigenvalue; one slot builds it once and holds no other datum.
+    """
+    return curvature_package(data)
+
+
 def jacobi_residual(data: SubmersionData, lam: Scalar) -> LaurentPoly:
     """The Jacobi quadratic (1/2) lambda^2 + alpha_t lambda + beta_t."""
     lam = Fraction(lam)
-    pkg = curvature_package(data)
+    pkg = _package(data)
     return Fraction(1, 2) * lam**2 + lam * pkg.alpha + pkg.beta
 
 

@@ -238,6 +238,10 @@ PINNED_STDOUT = {
         "75ce758761be0b4818408c2dbe9b6e35110c1bd07ae3074bac710dbcf074ab7a",
     ("curvature", "--custom", CUSTOM_7):
         "8cbcea8c16e3888aae7bd69472227e01c7dda2590268106e7a5520124a23210a",
+    ("instants", "--family", "ii", "--q", "27", "--eigs", "40", "--window", "0:inf"):
+        "3828ec8c0204323fa38e989500e820458d896a1f17f8c214f6f08a992e631520",
+    ("instants", "--family", "iii", "--q", "28", "--eigs", "40", "--window", "0:inf"):
+        "92e343c4817501e48ca9467dcf3faf42cecece4aeab92e05ca1f3dd001ddfad9",
 }
 
 

@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcurv.algebra.intpoly import count_roots_halfopen, derivative, divmod_frac
+from qcurv.algebra.intpoly import (
+    count_roots_halfopen,
+    derivative,
+    divmod_frac,
+    evaluate,
+    evaluate_dyadic,
+    poly_gcd,
+)
 from qcurv.algebra.roots import RootBox, isolate_positive_roots, root_is_simple
 
 
@@ -45,6 +52,24 @@ def test_divmod_frac_is_euclidean_division(p: list[Fraction], d: list[int]) -> N
     for k, c in enumerate(rem):
         product[k] += c
     assert product == [Fraction(c) for c in p] + [0] * (len(product) - len(p))
+
+
+@given(
+    st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=7),
+    st.integers(min_value=-(2**50), max_value=2**50),
+    st.integers(min_value=0, max_value=60),
+    st.booleans(),
+)
+def test_dyadic_value_is_the_scaled_rational_value(
+    p: list[int], m: int, k: int, plant: bool
+) -> None:
+    if plant:  # make m / 2**k a root: the sign there must be 0
+        p = conv(p or [1], [-m, 2**k])
+    # A positive multiple of p(m / 2**k), so it has the same sign.
+    value = evaluate_dyadic(p, m, k)
+    assert value == evaluate(p, Fraction(m, 2**k)) * 2 ** (k * max(len(p) - 1, 0))
+    if plant:
+        assert value == 0
 
 
 def test_isolates_distinct_integer_roots() -> None:
@@ -241,3 +266,56 @@ def test_refine_stays_inside_and_reaches_the_width(drawn, width: Fraction) -> No
         assert tight.width <= width
         assert tight.poly == box.poly
         assert tight.compare(box) == 0 and box.compare(tight) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted, st.integers(min_value=3, max_value=60))
+def test_staged_refinement_lands_on_the_same_box(drawn, halvings: int) -> None:
+    for box, _ in planted_boxes(drawn):
+        if box.is_exact:
+            continue
+        width = box.width / 2**halvings  # below width / 4
+        direct = box.refine(width)
+        staged = box.refine(box.width / 4).refine(width)
+        assert (staged.lo, staged.hi) == (direct.lo, direct.hi)
+
+
+def fresh(box: RootBox) -> RootBox:
+    """The same interval and polynomial, with nothing kept from earlier comparisons."""
+    return RootBox(box.poly, box.lo, box.hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(planted, min_size=2, max_size=3),
+    st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50)), max_size=30),
+)
+def test_compare_does_not_depend_on_earlier_comparisons(drawn: list, warm_up: list) -> None:
+    items = [item for one in drawn for item in planted_boxes(one)]
+    intervals = [(box.lo, box.hi) for box, _ in items]
+    n = len(items)
+    for i, j in warm_up:  # narrows the boxes in an order hypothesis picks
+        items[i % n][0].compare(items[j % n][0])
+    for a, sa in items:
+        for b, sb in items:
+            assert a.compare(b) == fresh(a).compare(fresh(b)) == sign(sa - sb)
+    assert [(box.lo, box.hi) for box, _ in items] == intervals
+
+
+def test_disjoint_boxes_are_ordered_without_a_gcd(monkeypatch) -> None:
+    calls = []
+
+    def counting_gcd(p, q):
+        calls.append((p, q))
+        return poly_gcd(p, q)
+
+    monkeypatch.setattr("qcurv.algebra.roots.poly_gcd", counting_gcd)
+    sqrt2 = isolate_positive_roots((-2, 0, 1))[0].refine(Fraction(1, 4))
+    sqrt7 = isolate_positive_roots((-7, 0, 1))[0].refine(Fraction(1, 4))
+    assert not sqrt2.is_exact and not sqrt7.is_exact and sqrt2.hi <= sqrt7.lo
+    assert sqrt2.compare(sqrt7) == -1 and sqrt7.compare(sqrt2) == 1
+    assert calls == []
+    # Overlapping boxes still run the shared-root test.
+    other = isolate_positive_roots(poly_with_roots([Fraction(3)], extra=[-2, 0, 1]))[0]
+    assert sqrt2.compare(other) == 0
+    assert len(calls) == 1
