@@ -1,26 +1,25 @@
-"""Dense univariate polynomial utilities over the integers and rationals.
+"""Dense univariate polynomials over the integers, Z[x] only.
 
 Coefficients are stored ascending (index k holds the t**k coefficient)
 with no trailing zeros, so the zero polynomial is the empty tuple.  The
-integer-only routines back the root isolation code: Taylor shift,
-dyadic scaling, content, the value of p at a dyadic point m / 2**k
-scaled to an integer, and the gcd, a primitive polynomial remainder
-sequence (pseudo-division, then division by the content at every step).
-Sturm chains, the division behind the squarefree part and the Cauchy
-root bound work over Q; none of them runs per bisection step.
+routines back the root isolation code: Taylor shift, monomial scaling,
+content, the value of p at num / den scaled to an integer, exact
+division, the Cauchy root bound and one pseudo-remainder that drives
+both the gcd and the Sturm chain (a primitive remainder sequence:
+pseudo-division, then division by the content at every step).  No
+rational number is formed.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
-from typing import Sequence, Union
+from math import gcd
+from numbers import Rational
+from typing import Sequence
 
-Coeff = Union[int, Fraction]
-Poly = tuple[Coeff, ...]
+Poly = tuple[int, ...]
 
 
-def trim(coeffs: Sequence[Coeff]) -> Poly:
+def trim(coeffs: Sequence[int]) -> Poly:
     """Drop trailing zero coefficients so the leading term is genuine."""
     last = len(coeffs)
     while last > 0 and not coeffs[last - 1]:
@@ -28,42 +27,35 @@ def trim(coeffs: Sequence[Coeff]) -> Poly:
     return tuple(coeffs[:last])
 
 
-def degree(p: Sequence[Coeff]) -> int:
+def degree(p: Sequence[int]) -> int:
     """Degree of a trimmed polynomial; -1 for the zero polynomial."""
     return len(p) - 1
 
 
-def evaluate(p: Sequence[Coeff], x: Coeff) -> Coeff:
-    acc: Coeff = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+def evaluate(p: Sequence[int], num: int, den: int) -> int:
+    """den**deg(p) * p(num / den) for den > 0: an integer with the sign of p(num / den).
 
-
-def evaluate_dyadic(p: Sequence[int], m: int, k: int) -> int:
-    """2**(k * deg p) * p(m / 2**k) for integer p: an integer with the sign of p(m / 2**k).
-
-    Homogeneous Horner: the t**i coefficient is weighted by 2**(k * (deg p - i)).
+    Homogeneous Horner: the t**i coefficient is weighted by den**(deg p - i).
     """
     acc = 0
-    shift = 0
+    scale = 1
     for c in reversed(p):
-        acc = acc * m + (c << shift)
-        shift += k
+        acc = acc * num + c * scale
+        scale *= den
     return acc
 
 
-def derivative(p: Sequence[Coeff]) -> Poly:
+def derivative(p: Sequence[int]) -> Poly:
     return tuple(k * p[k] for k in range(1, len(p)))
 
 
-def monomial_substitute(p: Sequence[Coeff], factor: Coeff) -> Poly:
-    """p(factor * x), exact when factor is an integer."""
+def monomial_substitute(p: Sequence[int], factor: int) -> Poly:
+    """p(factor * x)."""
     return trim([c * factor**k for k, c in enumerate(p)])
 
 
-def taylor_shift_1(p: Sequence[Coeff]) -> Poly:
-    """p(x + 1) by repeated synthetic addition; integer in, integer out."""
+def taylor_shift_1(p: Sequence[int]) -> Poly:
+    """p(x + 1) by repeated synthetic addition."""
     out = list(p)
     n = len(out)
     for i in range(1, n):
@@ -72,27 +64,17 @@ def taylor_shift_1(p: Sequence[Coeff]) -> Poly:
     return trim(out)
 
 
-def reverse(p: Sequence[Coeff]) -> Poly:
+def reverse(p: Sequence[int]) -> Poly:
     """x**deg(p) * p(1/x); requires a trimmed nonzero polynomial."""
     return trim(tuple(reversed(p)))
 
 
-def strip_low_zeros(p: Sequence[Coeff]) -> tuple[Poly, int]:
+def strip_low_zeros(p: Sequence[int]) -> tuple[Poly, int]:
     """Factor out the largest power of x, returning (quotient, power)."""
     k = 0
     while k < len(p) and not p[k]:
         k += 1
     return tuple(p[k:]), k
-
-
-def divexact_x_minus_1(p: Sequence[Coeff]) -> Poly:
-    """Exact quotient of p by (x - 1); requires p(1) == 0."""
-    out: list[Coeff] = [0] * (len(p) - 1)
-    carry: Coeff = 0
-    for k in range(len(p) - 1, 0, -1):
-        carry = carry + p[k]
-        out[k - 1] = carry
-    return trim(out)
 
 
 def content(p: Sequence[int]) -> int:
@@ -109,17 +91,19 @@ def primitive(p: Sequence[int]) -> Poly:
     return tuple(c // g for c in p)
 
 
-def to_integer(p: Sequence[Coeff]) -> Poly:
-    """Clear denominators and divide out the content, keeping the sign."""
-    q = trim(p)
-    if not q:
-        return q
-    m = lcm(*(Fraction(c).denominator for c in q))
-    ints = [int(Fraction(c) * m) for c in q]
-    return primitive(ints)
+def divexact(p: Sequence[int], d: Sequence[int]) -> Poly:
+    """The quotient p / d; requires d to divide p exactly in Z[x]."""
+    rem = list(p)
+    quot = [0] * (len(rem) - len(d) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        factor = quot[k] = rem[k + len(d) - 1] // d[-1]
+        for i, c in enumerate(d):
+            rem[k + i] -= factor * c
+    assert not any(rem), "divisor must divide exactly"
+    return tuple(quot)
 
 
-def sign_variations(values: Sequence[Coeff]) -> int:
+def sign_variations(values: Sequence[int]) -> int:
     """Count strict sign changes in a sequence, skipping zeros."""
     count = 0
     prev = 0
@@ -133,12 +117,7 @@ def sign_variations(values: Sequence[Coeff]) -> int:
 
 
 def poly_gcd(p: Sequence[int], q: Sequence[int]) -> Poly:
-    """Primitive gcd of two integer polynomials, leading coefficient positive.
-
-    A primitive polynomial remainder sequence: each pseudo-remainder is
-    divided by its content, so coefficients stay as small as the gcd
-    allows and no rational number is formed.
-    """
+    """Primitive gcd of two integer polynomials, leading coefficient positive."""
     a, b = primitive(trim(p)), primitive(trim(q))
     while b:
         a, b = b, primitive(_pseudo_remainder(a, b))
@@ -148,18 +127,20 @@ def poly_gcd(p: Sequence[int], q: Sequence[int]) -> Poly:
 
 
 def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Remainder of c * a divided by b, c a power of b's leading coefficient.
+    """Remainder of c * a divided by b, c a power of |lead(b)|.
 
-    Each step scales the running remainder by the leading coefficient of
-    b before cancelling its top term, so all arithmetic is in the
-    integers; when deg a < deg b the remainder is a itself.
+    Each step scales the running remainder by |lead(b)| and cancels its
+    top term with top * sign(lead(b)), so all arithmetic is in the
+    integers and c > 0: the remainder has the sign of the Euclidean one,
+    which a Sturm chain needs.  When deg a < deg b the remainder is a.
     """
     rem = list(a)
     lead, low = b[-1], b[:-1]
+    scale, flip = abs(lead), (lead > 0) - (lead < 0)
     while len(rem) >= len(b):
-        top = rem.pop()
+        top = rem.pop() * flip
         offset = len(rem) - len(low)
-        rem = [c * lead for c in rem]
+        rem = [c * scale for c in rem]
         for i, c in enumerate(low):
             rem[offset + i] -= top * c
         while rem and not rem[-1]:
@@ -168,60 +149,44 @@ def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def squarefree_part(p: Sequence[int]) -> Poly:
-    """The product of the distinct irreducible factors of p."""
+    """The product of the distinct irreducible factors of p, primitive, sign kept.
+
+    The gcd is primitive, so by Gauss's lemma p / gcd(p, p') is integral.
+    """
     q = trim(p)
     if degree(q) < 1:
         return q
     g = poly_gcd(q, derivative(q))
     if degree(g) < 1:
         return q
-    quot, rem = divmod_frac(q, g)
-    assert not rem, "gcd must divide exactly"
-    return to_integer(quot)
+    return primitive(divexact(q, g))
 
 
-def divmod_frac(p: Sequence[Coeff], d: Sequence[Coeff]) -> tuple[Poly, Poly]:
-    """Quotient and remainder over Q: the one division over Q here."""
-    rem = list(trim(p))
-    den = trim(d)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead, low = Fraction(den[-1]), den[:-1]
-    quot: list[Coeff] = [0] * max(len(rem) - len(den) + 1, 0)
-    while len(rem) >= len(den):
-        # The leading term cancels exactly, so it is popped, not subtracted.
-        factor = rem.pop() / lead
-        offset = len(rem) - len(low)
-        quot[offset] = factor
-        for i, c in enumerate(low):
-            rem[offset + i] -= factor * c
-        while rem and not rem[-1]:
-            rem.pop()
-    return tuple(quot), tuple(rem)
+def sturm_chain(p: Sequence[int]) -> list[Poly]:
+    """Sturm chain p, p', then primitive negated pseudo-remainders.
 
-
-def sturm_chain(p: Sequence[Coeff]) -> list[Poly]:
-    """Canonical Sturm chain p, p', then negated Euclidean remainders."""
-    chain: list[Poly] = []
-    a = tuple(Fraction(c) for c in trim(p))
+    Each term is a positive multiple of the canonical (Euclidean) term,
+    so sign variations at every point are the same.
+    """
+    a = trim(p)
     if not a:
-        return chain
-    chain.append(a)
-    b = trim(derivative(a))
+        return []
+    chain = [a]
+    b = derivative(a)
     while b:
         chain.append(b)
-        a, b = b, tuple(-c for c in divmod_frac(a, b)[1])
+        a, b = b, primitive([-c for c in _pseudo_remainder(a, b)])
     return chain
 
 
-def sturm_count(chain: Sequence[Poly], lo: Coeff, hi: Coeff) -> int:
+def sturm_count(chain: Sequence[Poly], lo: Rational, hi: Rational) -> int:
     """Number of distinct real roots in the half-open interval (lo, hi]."""
-    at_lo = sign_variations([evaluate(q, lo) for q in chain])
-    at_hi = sign_variations([evaluate(q, hi) for q in chain])
+    at_lo = sign_variations([evaluate(q, lo.numerator, lo.denominator) for q in chain])
+    at_hi = sign_variations([evaluate(q, hi.numerator, hi.denominator) for q in chain])
     return at_lo - at_hi
 
 
-def count_roots_halfopen(p: Sequence[int], lo: Coeff, hi: Coeff) -> int:
+def count_roots_halfopen(p: Sequence[int], lo: Rational, hi: Rational) -> int:
     """Distinct real roots of p in (lo, hi], multiplicities ignored.
 
     The squarefree part is taken first: zero-skipping sign variations
@@ -234,14 +199,18 @@ def count_roots_halfopen(p: Sequence[int], lo: Coeff, hi: Coeff) -> int:
     return sturm_count(sturm_chain(squarefree_part(q)), lo, hi)
 
 
-def cauchy_root_bound_pow2(p: Sequence[Coeff]) -> int:
-    """A power of two strictly exceeding every real root of p."""
+def cauchy_root_bound_pow2(p: Sequence[int]) -> int:
+    """A power of two strictly exceeding every real root of p.
+
+    The smallest b with b * |lead| >= |lead| + max |c_i|, that is
+    b >= 1 + max |c_i| / |lead|.
+    """
     q = trim(p)
     if degree(q) < 1:
         return 1
-    lead = abs(Fraction(q[-1]))
-    bound = 1 + max(abs(Fraction(c)) for c in q[:-1]) / lead
+    lead = abs(q[-1])
+    bound = lead + max(abs(c) for c in q[:-1])
     b = 1
-    while b < bound:
+    while b * lead < bound:
         b <<= 1
     return b

@@ -8,12 +8,13 @@ roots of any multiplicity are isolated; the original polynomial is kept
 on the box because multiplicity questions (simplicity, common roots
 with another polynomial) are asked about it, not about the radical.
 
-Every box endpoint is dyadic: the search works on [0, 2**b] and each
-later step halves an interval.  The sign of p at m / 2**k is the sign
-of the integer 2**(k deg p) p(m / 2**k), so box checks, comparisons
-with a rational and refinement evaluate in integers, and refinement
-bisects integer numerators over a power of two, building a Fraction
-only for the box it returns.  A non-dyadic point is evaluated over Q.
+The search and the bisections carry integer numerators over a power
+of two: the search works on [0, 2**b] and each later step halves an
+interval.  The sign of p at num / den (den > 0) is the sign of the
+integer den**deg(p) p(num / den), so box checks, comparisons with a
+rational and refinement evaluate in integers, dyadic or not.
+Fractions appear only at the box boundary: ``lo``, ``hi``, widths and
+the argument of ``compare_to_rational``.
 
 Boxes are immutable to their users.  Refinement returns a new, narrower
 box; a bisection point that happens to hit the root exactly collapses
@@ -30,14 +31,12 @@ from typing import Sequence
 
 from ..errors import DomainError
 from .intpoly import (
-    Coeff,
     cauchy_root_bound_pow2,
     count_roots_halfopen,
     degree,
     derivative,
-    divexact_x_minus_1,
+    divexact,
     evaluate,
-    evaluate_dyadic,
     monomial_substitute,
     poly_gcd,
     primitive,
@@ -50,15 +49,13 @@ from .intpoly import (
 )
 
 
-def _sign(x: Coeff) -> int:
+def _sign(x: Fraction | int) -> int:
     return (x > 0) - (x < 0)
 
 
 def _sign_at(p: Sequence[int], num: int, den: int) -> int:
-    """Sign of p(num / den) for den > 0, in integers when den is a power of two."""
-    if den & (den - 1):
-        return _sign(evaluate(p, Fraction(num, den)))
-    return _sign(evaluate_dyadic(p, num, den.bit_length() - 1))
+    """Sign of p(num / den) for den > 0."""
+    return _sign(evaluate(p, num, den))
 
 
 class RootBox:
@@ -201,7 +198,8 @@ class RootBox:
 
 def root_is_simple(box: RootBox) -> bool:
     """True when the isolated root is a simple root of box.poly."""
-    return not box.vanishes_at_root(derivative(box.poly))
+    # A squarefree part as long as poly means poly itself is squarefree.
+    return len(box._sqfree) == len(box.poly) or not box.vanishes_at_root(derivative(box.poly))
 
 
 def isolate_positive_roots(coeffs: Sequence[int]) -> list[RootBox]:
@@ -214,67 +212,66 @@ def isolate_positive_roots(coeffs: Sequence[int]) -> list[RootBox]:
         return []
     sf = squarefree_part(stripped)
     bound = cauchy_root_bound_pow2(sf)
-    scaled = primitive([int(c) for c in monomial_substitute(sf, bound)])
-    intervals: list[tuple[Fraction, Fraction]] = []
-    _descartes_split(scaled, Fraction(0), Fraction(1), intervals)
+    intervals: list[tuple[int, int, int]] = []
+    _descartes_split(primitive(monomial_substitute(sf, bound)), 0, 0, intervals)
     # Attach sf, not squarefree_part(p): a factor t**k in p would make the
     # whole-polynomial radical vanish at a box endpoint lo == 0.
     boxes = []
-    for lo, hi in intervals:
-        glo, ghi = lo * bound, hi * bound
-        if glo != ghi:
-            glo, ghi = _settle_endpoints(sf, glo, ghi)
-        boxes.append(RootBox(p, glo, ghi, sf))
+    for lo, hi, k in intervals:
+        lo, hi, den = _settle_endpoints(sf, lo * bound, hi * bound, 1 << k)
+        boxes.append(RootBox(p, Fraction(lo, den), Fraction(hi, den), sf))
     return boxes
 
 
-def _settle_endpoints(
-    sf: tuple[int, ...], lo: Fraction, hi: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Shrink (lo, hi) until neither endpoint is a root of sf.
+def _settle_endpoints(sf: tuple[int, ...], lo: int, hi: int, den: int) -> tuple[int, int, int]:
+    """Shrink (lo / den, hi / den) until neither endpoint is a root of sf.
 
     The splitter guarantees exactly one root of sf strictly inside, but a
     sibling interval's exactly-hit root can sit on an endpoint.  Halving
-    toward the interior root removes it while keeping the bracket.
+    toward the interior root removes it while keeping the bracket; just
+    right of a root of the squarefree sf, sf has the sign of sf' there.
+    A width-zero interval is a root and comes back with the same value.
     """
-    while not (evaluate(sf, lo) and evaluate(sf, hi)):
-        mid = (lo + hi) / 2
-        if not evaluate(sf, mid):
-            return mid, mid
-        if count_roots_halfopen(sf, lo, mid):
-            hi = mid
+    s_lo, s_hi = _sign_at(sf, lo, den), _sign_at(sf, hi, den)
+    right_of_lo = s_lo or _sign_at(derivative(sf), lo, den)
+    while not (s_lo and s_hi):
+        mid = lo + hi
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        s = _sign_at(sf, mid, den)
+        if not s:
+            return mid, mid, den
+        if s == right_of_lo:
+            lo, s_lo = mid, s
         else:
-            lo = mid
-    return lo, hi
+            hi, s_hi = mid, s
+    return lo, hi, den
 
 
 def _descartes_split(
-    r: tuple[int, ...],
-    lo: Fraction,
-    hi: Fraction,
-    out: list[tuple[Fraction, Fraction]],
+    r: tuple[int, ...], c: int, k: int, out: list[tuple[int, int, int]]
 ) -> None:
-    """Recursive Descartes test for a squarefree r on local coordinates (0,1).
+    """Recursive Descartes test for a squarefree r on (c / 2**k, (c + 1) / 2**k).
 
-    Maintains r(0) != 0 and r(1) != 0, recording bisection points that
-    are roots as exact (width zero) intervals.
+    r is the polynomial in local coordinates, the interval mapped to
+    (0, 1).  Maintains r(0) != 0 and r(1) != 0, recording each interval
+    as (lo, hi, k), numerators over 2**k, and bisection points that are
+    roots as exact (width zero) intervals.
     """
     variations = sign_variations(taylor_shift_1(reverse(r)))
     if variations == 0:
         return
     if variations == 1:
-        out.append((lo, hi))
+        out.append((c, c + 1, k))
         return
     n = degree(r)
-    mid = (lo + hi) / 2
-    left = primitive([int(c) << (n - k) for k, c in enumerate(r)])
+    left = primitive([c_i << (n - i) for i, c_i in enumerate(r)])
     right = taylor_shift_1(left)
     exact_mid = bool(right) and right[0] == 0
     if exact_mid:
         right, _ = strip_low_zeros(right)
-        while not evaluate(left, 1):
-            left = divexact_x_minus_1(left)
-    _descartes_split(left, lo, mid, out)
+        while not evaluate(left, 1, 1):
+            left = divexact(left, (-1, 1))
+    _descartes_split(left, 2 * c, k + 1, out)
     if exact_mid:
-        out.append((mid, mid))
-    _descartes_split(right, mid, hi, out)
+        out.append((2 * c + 1, 2 * c + 1, k + 1))
+    _descartes_split(right, 2 * c + 1, k + 1, out)

@@ -240,8 +240,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror}") from None
     return 0
 
 

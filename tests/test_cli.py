@@ -215,6 +215,17 @@ def test_sample_stdout_equals_file_output(capsys, tmp_path: Path) -> None:
     assert target.read_text() == out
 
 
+@pytest.mark.parametrize("where", ["missing-dir/x.csv", "."])
+def test_sample_unwritable_out_exits_2(capsys, tmp_path: Path, where: str) -> None:
+    # A path under a directory that does not exist, and a directory itself.
+    target = tmp_path / where
+    code, out, err = invoke(
+        capsys, "sample", "--family", "ii", "--t-range", "1:2", "--steps", "2", "--out", str(target)
+    )
+    assert code == 2 and not out
+    assert err.startswith(f"error: cannot write {target}") and "Traceback" not in err
+
+
 # sha256 of stdout for each argv, pinned from a known-good build; a change
 # that alters any output byte must re-pin these deliberately.
 PINNED_STDOUT = {
@@ -242,6 +253,12 @@ PINNED_STDOUT = {
         "3828ec8c0204323fa38e989500e820458d896a1f17f8c214f6f08a992e631520",
     ("instants", "--family", "iii", "--q", "28", "--eigs", "40", "--window", "0:inf"):
         "92e343c4817501e48ca9467dcf3faf42cecece4aeab92e05ca1f3dd001ddfad9",
+    ("instants", "--family", "iii", "--q", "1", "--lambda", "12"):
+        "cb23e0e17bc6b044acb8efc55b44ad47676e48096c4f1384a0047e2cc717e695",
+    ("instants", "--family", "ii", "--q", "1", "--lambda", "7"):
+        "b10c5b562ea2215d3da408400701fea05adf674cbcd0c26deb6fc9af3657ae4e",
+    ("instants", "--family", "iv", "--eigs", "40", "--window", "1/300:1/30"):
+        "898d5a2b523f3e7565f479bc81e3237045551cb10854f692f6e427e40e1314e9",
 }
 
 

@@ -1,16 +1,21 @@
-"""Exact oracle for the integer gcd and squarefree part: sympy's Poly.gcd and sqf_part.
+"""Exact oracle for the integer gcd, squarefree part and Sturm count: sympy.
 
 Polynomials are drawn with planted shared factors and repeated factors, so
 the gcd and the squarefree part are not trivial.  Results are compared up
-to sign and content, the freedom a gcd over Z[x] leaves.
+to sign and content, the freedom a gcd over Z[x] leaves.  Root counts are
+compared with ``Poly.count_roots`` on intervals whose ends are often
+planted roots, dyadic or not.
 """
 
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcurv.algebra.intpoly import poly_gcd, primitive, squarefree_part, trim
+from qcurv.algebra.intpoly import count_roots_halfopen, poly_gcd, primitive, squarefree_part, trim
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -43,6 +48,13 @@ def to_sympy(p: list[int]):
 
 def from_sympy(poly) -> tuple[int, ...]:
     return normal(reversed(poly.all_coeffs()))
+
+
+def sympy_count(p: list[int], lo: Fraction, hi: Fraction) -> int:
+    """Distinct roots of p in (lo, hi]; count_roots counts the closed interval."""
+    poly = to_sympy(p)
+    at = [sympy.Rational(x.numerator, x.denominator) for x in (lo, hi)]
+    return poly.count_roots(*at) - (poly.eval(at[0]) == 0)
 
 
 # Low-degree integer factors (linear q t - p and irreducible-or-not quadratics),
@@ -80,3 +92,28 @@ def test_gcd_with_zero_and_constants() -> None:
     assert poly_gcd((), ()) == ()
     assert poly_gcd((0, -6, -4), ()) == (0, 3, 2)
     assert poly_gcd((3, 1), (5,)) == (1,)
+
+
+dyadic = st.tuples(st.integers(-64, 64), st.integers(0, 4)).map(lambda mk: Fraction(mk[0], 2 ** mk[1]))
+non_dyadic = st.fractions(min_value=-8, max_value=8, max_denominator=15)
+
+
+@settings(max_examples=80, deadline=None)
+@given(factors, scale, st.data())
+def test_count_roots_halfopen_matches_sympy(planted, c: int, data) -> None:
+    p = [c * x for x in product(planted)]
+    # Rational roots of the linear factors a + b t; repeated ones are multiple roots.
+    roots = [Fraction(-f[0], f[1]) for f in planted if len(f) == 2]
+    ends = st.one_of(dyadic, non_dyadic, *([st.sampled_from(roots)] if roots else []))
+    lo, hi = sorted(data.draw(st.tuples(ends, ends)))
+    assert count_roots_halfopen(p, lo, hi) == sympy_count(p, lo, hi)
+
+
+# Sturm chains with degree gaps (t**4 + a t + b is the smallest case): a
+# pseudo-remainder can then scale by an odd power of a negative leading
+# coefficient, which must not flip the sign of a chain term.
+@pytest.mark.parametrize("p", [(1, 4, 0, 0, 1), (1, -4, 0, 0, 1), (-1, 4, 0, 0, -1), (1, 0, 4, 0, 0, 0, -1)])
+def test_count_roots_halfopen_across_a_degree_gap(p: tuple[int, ...]) -> None:
+    ends = [Fraction(k, 2) for k in range(-6, 7)]
+    for lo, hi in itertools.combinations(ends, 2):
+        assert count_roots_halfopen(p, lo, hi) == sympy_count(list(p), lo, hi)

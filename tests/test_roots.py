@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from qcurv.algebra.intpoly import (
     count_roots_halfopen,
     derivative,
-    divmod_frac,
+    divexact,
     evaluate,
-    evaluate_dyadic,
     poly_gcd,
+    trim,
 )
 from qcurv.algebra.roots import RootBox, isolate_positive_roots, root_is_simple
 
@@ -39,35 +39,31 @@ def assert_boxes_match(boxes: list[RootBox], roots: list[Fraction]) -> None:
 
 
 @given(
-    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4), max_size=8),
-    st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=5).filter(lambda d: d[-1]),
+    st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=8),
+    st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=5).filter(lambda d: d[-1]),
 )
-def test_divmod_frac_is_euclidean_division(p: list[Fraction], d: list[int]) -> None:
-    quot, rem = divmod_frac(p, d)
-    assert len(rem) < len(d) and (not rem or rem[-1])
-    product = [Fraction(0)] * max(len(quot) + len(d) - 1, len(p), len(rem))
-    for i, c in enumerate(quot):
-        for j, e in enumerate(d):
-            product[i + j] += c * e
-    for k, c in enumerate(rem):
-        product[k] += c
-    assert product == [Fraction(c) for c in p] + [0] * (len(product) - len(p))
+def test_divexact_undoes_multiplication(q: list[int], d: list[int]) -> None:
+    # Leading coefficients other than +-1 make every quotient step a real division.
+    assert divexact(trim(conv(q, d)), d) == trim(q)
 
 
 @given(
     st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=7),
     st.integers(min_value=-(2**50), max_value=2**50),
-    st.integers(min_value=0, max_value=60),
+    st.one_of(
+        st.integers(min_value=0, max_value=60).map(lambda k: 2**k),
+        st.integers(min_value=1, max_value=10**9),
+    ),
     st.booleans(),
 )
-def test_dyadic_value_is_the_scaled_rational_value(
-    p: list[int], m: int, k: int, plant: bool
-) -> None:
-    if plant:  # make m / 2**k a root: the sign there must be 0
-        p = conv(p or [1], [-m, 2**k])
-    # A positive multiple of p(m / 2**k), so it has the same sign.
-    value = evaluate_dyadic(p, m, k)
-    assert value == evaluate(p, Fraction(m, 2**k)) * 2 ** (k * max(len(p) - 1, 0))
+def test_value_is_the_scaled_rational_value(p: list[int], num: int, den: int, plant: bool) -> None:
+    if plant:  # make num / den a root: the sign there must be 0
+        p = conv(p or [1], [-num, den])
+    x = Fraction(num, den)
+    exact = sum((c * x**i for i, c in enumerate(p)), Fraction(0))
+    # A positive multiple of p(num / den), so it has the same sign.
+    value = evaluate(p, num, den)
+    assert value == exact * den ** max(len(p) - 1, 0)
     if plant:
         assert value == 0
 
@@ -98,6 +94,32 @@ def test_repeated_roots_isolated_once() -> None:
     assert_boxes_match(boxes, [Fraction(1), Fraction(2)])
     assert not root_is_simple(boxes[0])
     assert root_is_simple(boxes[1])
+
+
+def test_roots_of_a_squarefree_polynomial_are_simple_without_a_gcd(monkeypatch) -> None:
+    calls = []
+
+    def counting_gcd(p, q):
+        calls.append((p, q))
+        return poly_gcd(p, q)
+
+    # 2 is hit exactly by the bisection, 1/3 and sqrt(2) are not.
+    boxes = isolate_positive_roots(poly_with_roots([Fraction(1, 3), Fraction(2)], extra=[-2, 0, 1]))
+    assert len(boxes) == 3 and any(box.is_exact for box in boxes)
+    monkeypatch.setattr("qcurv.algebra.roots.poly_gcd", counting_gcd)
+    assert all(root_is_simple(box) for box in boxes)
+    assert calls == []
+
+
+def test_double_root_beside_a_power_of_t_is_not_simple() -> None:
+    # t * (t - 1)**2: stripping t leaves (t - 1)**2, whose radical t - 1 is
+    # shorter than it, but the root t = 1 is still double.
+    p = poly_with_roots([Fraction(0), Fraction(1), Fraction(1)])
+    (box,) = isolate_positive_roots(p)
+    assert not root_is_simple(box)
+    assert not root_is_simple(RootBox(p, Fraction(1, 2), Fraction(3, 2)))
+    # t * (t - 1) is squarefree: its positive root is simple.
+    assert root_is_simple(isolate_positive_roots(poly_with_roots([Fraction(0), Fraction(1)]))[0])
 
 
 def test_no_positive_roots() -> None:
