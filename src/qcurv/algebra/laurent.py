@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Union
+from types import MappingProxyType
+from typing import Mapping, Union
 
 from ..errors import DomainError
 from .rationals import format_rational
@@ -24,17 +25,14 @@ class LaurentPoly:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+    def __init__(self, coeffs: Mapping[int, Scalar] = MappingProxyType({})):
         data: dict[int, Fraction] = {}
-        for exp, val in items:
+        for exp, val in coeffs.items():
             if not isinstance(exp, int):
                 raise TypeError(f"exponent must be an int, got {exp!r}")
             c = Fraction(val)
             if c:
-                data[exp] = data.get(exp, Fraction(0)) + c
-                if not data[exp]:
-                    del data[exp]
+                data[exp] = c
         self._coeffs = {k: data[k] for k in sorted(data)}
 
     @classmethod

@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from .algebra.laurent import LaurentPoly
 from .algebra.quadext import QuadExtValue
-from .errors import DomainError
-from .geometry import CurvaturePackage, SubmersionData, curvature_package
+from .errors import DomainError, ValidationError
+from .geometry import CurvaturePackage, SubmersionData, curvature_package, validate
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,6 @@ class DimPair:
 
     n: int
     l: int
-
-    def __post_init__(self):
-        if self.n < 5:
-            raise DomainError(f"n={self.n} must be at least 5")
-        if not 1 <= self.l < self.n:
-            raise DomainError(f"l={self.l} must satisfy 1 <= l < n")
 
 
 def dim_pair(data: SubmersionData) -> DimPair:
@@ -221,7 +215,13 @@ class AsymptoticVerdict:
 
 
 def classify(data: SubmersionData) -> AsymptoticVerdict:
-    """Decide accumulation at both ends, preferring the general criterion."""
+    """Decide accumulation at both ends, preferring the general criterion.
+
+    Inadmissible data raises ValidationError before any verdict.
+    """
+    problems = validate(data)
+    if problems:
+        raise ValidationError(problems)
     if collapse_criterion(data):
         collapse, c_method = True, "criterion"
     elif collapse_direct_check(data):

@@ -44,7 +44,6 @@ class Spectrum:
     constants are excluded.
     """
 
-    description: str
     eigenvalue_fn: Callable[[int], Fraction]
 
     def eigenvalue(self, k: int) -> Fraction:
@@ -61,7 +60,6 @@ class InstantReport:
     root: RootBox
     transversal: bool
     scalar_distinct: bool
-    jacobi_poly: LaurentPoly
 
     def to_json(self) -> dict[str, object]:
         return {
@@ -93,18 +91,10 @@ def jacobi_residual(data: SubmersionData, lam: Scalar) -> LaurentPoly:
 def scalar_coincidence_poly(data: SubmersionData, lam: Scalar) -> LaurentPoly:
     """Vanishes exactly where lambda equals scal_t/(n-1).
 
-    Multiplying the coincidence equation by t gives the quadratic
+    It is t (lambda(n-1) - scal_t), which written out is the quadratic
     eta*l*t^2 + (lambda(n-1) - lambda_B(n-l))*t - l*lambda_F.
     """
-    lam = Fraction(lam)
-    n, l = data.n, data.l
-    return LaurentPoly(
-        {
-            2: data.eta * l,
-            1: lam * (n - 1) - data.lambda_b * (n - l),
-            0: -l * data.lambda_f,
-        }
-    )
+    return LaurentPoly.t_power(1) * (Fraction(lam) * (data.n - 1) - _package(data).scal)
 
 
 def find_instants(data: SubmersionData, lam: Scalar) -> list[InstantReport]:
@@ -130,7 +120,6 @@ def find_instants(data: SubmersionData, lam: Scalar) -> list[InstantReport]:
                 root=box,
                 transversal=root_is_simple(box),
                 scalar_distinct=not box.vanishes_at_root(trim(coincidence)),
-                jacobi_poly=residual,
             )
         )
     return reports

@@ -183,19 +183,10 @@ def base_spectrum(fam: HopfFamily) -> Spectrum:
     """
     q = fam.q
     if fam.family == "i":
-        return Spectrum(
-            f"CP^{q} with Einstein constant {2 * q + 2}",
-            lambda k: Fraction(4 * k * (k + q)),
-        )
+        return Spectrum(lambda k: Fraction(4 * k * (k + q)))
     if fam.family in ("ii", "iii"):
-        return Spectrum(
-            f"HP^{q} with Einstein constant {4 * q + 8}",
-            lambda k: Fraction(4 * k * (k + 2 * q + 1)),
-        )
-    return Spectrum(
-        "S^8 of radius 1/2",
-        lambda k: Fraction(4 * k * (k + 7)),
-    )
+        return Spectrum(lambda k: Fraction(4 * k * (k + 2 * q + 1)))
+    return Spectrum(lambda k: Fraction(4 * k * (k + 7)))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,11 @@ the fibres by t > 0 produces the canonical variation g_t; with constant
 scalar curvature along the family, every natural curvature quantity of
 g_t is a Laurent polynomial in t, computed here exactly.
 
+Everything is derived from the two Ricci eigenvalues of g_t,
+lambda_F/t + eta t (vertical) and lambda_B - 2 zeta t (horizontal):
+scal and |Ric|^2 are the traces of Ric and Ric^2, and Q comes from the
+one formula in ``pointwise_q``.
+
 Sign conventions: the Laplacian is nonnegative, and Q denotes the
 standard fourth-order curvature scalar built from scal, the Ricci
 tensor, and Laplacian of scal (which vanishes here since scal_t is
@@ -16,7 +21,7 @@ spatially constant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Union
 
@@ -30,6 +35,8 @@ Scalar = Union[int, Fraction]
 class SubmersionData:
     """Exact parameters of a canonical variation.
 
+    ``n`` and ``l`` must be ``int``, checked on construction: an equal
+    float or bool would hash like the int datum and share its cache.
     ``eta * l == zeta * (n - l)`` ties the vertical and horizontal
     contributions of the integrability tensor together; it is forced by
     the symmetry of the mixed Ricci term and checked by ``validate``.
@@ -43,31 +50,23 @@ class SubmersionData:
     lambda_b: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "zeta", Fraction(self.zeta))
-        object.__setattr__(self, "eta", Fraction(self.eta))
-        object.__setattr__(self, "lambda_f", Fraction(self.lambda_f))
-        object.__setattr__(self, "lambda_b", Fraction(self.lambda_b))
+        problems = [
+            f"{name}={value!r} must be an integer"
+            for name, value in (("n", self.n), ("l", self.l))
+            if type(value) is not int
+        ]
+        if problems:
+            raise ValidationError(problems)
+        for field in fields(self)[2:]:
+            object.__setattr__(self, field.name, Fraction(getattr(self, field.name)))
 
     def to_json(self) -> dict[str, str]:
-        return {
-            "n": str(self.n),
-            "l": str(self.l),
-            "zeta": str(self.zeta),
-            "eta": str(self.eta),
-            "lambda_f": str(self.lambda_f),
-            "lambda_b": str(self.lambda_b),
-        }
+        return {field.name: str(getattr(self, field.name)) for field in fields(self)}
 
 
 def validate(data: SubmersionData) -> list[str]:
     """All consistency violations, empty when the data is admissible."""
-    problems = [
-        f"{name}={value!r} must be an integer"
-        for name, value in (("n", data.n), ("l", data.l))
-        if type(value) is not int
-    ]
-    if problems:  # every check below does arithmetic on n and l
-        return problems
+    problems = []
     if data.n < 5:
         problems.append(f"total dimension n={data.n} must be at least 5")
     if not 1 <= data.l < data.n:
@@ -93,7 +92,8 @@ class CurvaturePackage:
     a g_t-orthonormal frame (the convention of the worked examples);
     ``ric_vertical_reference`` is the same vertical eigenvalue measured
     against the fixed reference metric g, i.e. the coefficient of g in
-    the Ricci tensor restricted to the fibres.
+    the Ricci tensor restricted to the fibres.  Every field after
+    ``data`` is a polynomial, in output order.
     """
 
     data: SubmersionData
@@ -107,18 +107,6 @@ class CurvaturePackage:
     alpha: LaurentPoly
     beta: LaurentPoly
 
-    _FIELDS = (
-        "kappa",
-        "ric_vertical",
-        "ric_vertical_reference",
-        "ric_horizontal",
-        "ric_norm_sq",
-        "scal",
-        "q_curv",
-        "alpha",
-        "beta",
-    )
-
     @property
     def discriminant(self) -> LaurentPoly:
         """alpha_t^2 - 2 beta_t, whose nonnegativity admits real eigenbranches."""
@@ -126,11 +114,11 @@ class CurvaturePackage:
         return alpha * alpha - 2 * beta
 
     def to_json(self) -> dict[str, dict[str, str]]:
-        return {name: getattr(self, name).to_json() for name in self._FIELDS}
+        return {field.name: getattr(self, field.name).to_json() for field in fields(self)[1:]}
 
     def evaluate_at(self, t: Scalar) -> dict[str, Fraction]:
         """Exact values of every field at a positive rational t."""
-        return {name: getattr(self, name).evaluate(t) for name in self._FIELDS}
+        return {field.name: getattr(self, field.name).evaluate(t) for field in fields(self)[1:]}
 
 
 def curvature_package(data: SubmersionData) -> CurvaturePackage:
@@ -139,50 +127,41 @@ def curvature_package(data: SubmersionData) -> CurvaturePackage:
     if problems:
         raise ValidationError(problems)
     n, l = data.n, data.l
-    zeta, eta = data.zeta, data.eta
-    lam_f, lam_b = data.lambda_f, data.lambda_b
     t = LaurentPoly.t_power(1)
-    t_inv = LaurentPoly.t_power(-1)
 
-    kappa = lam_b - 2 * zeta * t
-    ric_vertical = lam_f * t_inv + eta * t
-    ric_vertical_reference = lam_f + eta * t * t
-    ric_horizontal = kappa
+    ric_vertical = LaurentPoly({-1: data.lambda_f, 1: data.eta})
+    ric_horizontal = LaurentPoly({0: data.lambda_b, 1: -2 * data.zeta})
+    scal = l * ric_vertical + (n - l) * ric_horizontal
     ric_norm_sq = l * ric_vertical**2 + (n - l) * ric_horizontal**2
-    scal = l * lam_f * t_inv + lam_b * (n - l) - eta * l * t
-
-    nn = Fraction(n)
-    q_curv = (
-        -2 * (n - l) * kappa**2 / (n - 2) ** 2
-        - 2 * l * ric_vertical**2 / (n - 2) ** 2
-        + (nn**3 - 4 * nn**2 + 16 * nn - 16) * scal**2 / (8 * (n - 1) ** 2 * (n - 2) ** 2)
-    )
-    alpha = ((n**2 - 4 * n + 8) * scal - 8 * (n - 1) * kappa) / (4 * (n - 1) * (n - 2))
-    beta = -2 * q_curv
+    q_curv = pointwise_q(n, scal, ric_norm_sq)
+    alpha = ((n**2 - 4 * n + 8) * scal - 8 * (n - 1) * ric_horizontal) / (4 * (n - 1) * (n - 2))
 
     return CurvaturePackage(
         data=data,
-        kappa=kappa,
+        kappa=ric_horizontal,
         ric_vertical=ric_vertical,
-        ric_vertical_reference=ric_vertical_reference,
+        ric_vertical_reference=t * ric_vertical,
         ric_horizontal=ric_horizontal,
         ric_norm_sq=ric_norm_sq,
         scal=scal,
         q_curv=q_curv,
         alpha=alpha,
-        beta=beta,
+        beta=-2 * q_curv,
     )
 
 
-def pointwise_q(n: int, scal: Scalar, ric_norm_sq: Scalar, lap_scal: Scalar = 0) -> Fraction:
-    """Q from raw ingredients at a point of an n-manifold, n >= 3."""
-    scal = Fraction(scal)
-    ric_norm_sq = Fraction(ric_norm_sq)
-    lap_scal = Fraction(lap_scal)
+def pointwise_q(
+    n: int, scal: Scalar | LaurentPoly, ric_norm_sq: Scalar | LaurentPoly, lap_scal: Scalar = 0
+) -> Fraction | LaurentPoly:
+    """Q from raw ingredients at a point of an n-manifold, n >= 3.
+
+    The ingredients may be rationals or Laurent polynomials in t; each
+    enters as a rational constant times the argument.
+    """
     return (
-        lap_scal / (2 * (n - 1))
-        - 2 * ric_norm_sq / (n - 2) ** 2
-        + Fraction(n**3 - 4 * n**2 + 16 * n - 16, 8 * (n - 1) ** 2 * (n - 2) ** 2) * scal**2
+        Fraction(1, 2 * (n - 1)) * lap_scal
+        - Fraction(2, (n - 2) ** 2) * ric_norm_sq
+        + Fraction(n**3 - 4 * n**2 + 16 * n - 16, 8 * (n - 1) ** 2 * (n - 2) ** 2) * scal * scal
     )
 
 

@@ -27,15 +27,20 @@ from qcurv.asymptotics import (
 )
 from qcurv.algebra.quadext import QuadExtValue
 from qcurv.catalog import HopfFamily, hopf_data, members
-from qcurv.errors import DomainError
+from qcurv.errors import DomainError, ValidationError
 from qcurv.geometry import SubmersionData
 
 
 def test_dim_pair_validation() -> None:
-    with pytest.raises(DomainError):
-        DimPair(4, 1)
-    with pytest.raises(DomainError):
-        DimPair(7, 7)
+    # classify validates the whole datum before any (n, l) range test.
+    for bad, field in (
+        (SubmersionData(4, 1, 0, 0, 0, 1), "total dimension n=4"),
+        (SubmersionData(7, 7, 0, 0, 1, 1), "fibre dimension l=7"),
+        (SubmersionData(7, 3, 3, 100, 2, 16), "eta*l=300"),
+    ):
+        with pytest.raises(ValidationError) as info:
+            classify(bad)
+        assert any(p.startswith(field) for p in info.value.violations)
     assert dim_pair(hopf_data(HopfFamily("ii", 1))) == DimPair(7, 3)
 
 

@@ -17,7 +17,7 @@ from qcurv.errors import DomainError
 from qcurv.geometry import SubmersionData, curvature_package
 
 ROUND_7 = SubmersionData(7, 3, Fraction(3), Fraction(4), Fraction(2), Fraction(12))
-SPECTRUM_7 = Spectrum("first quaternionic projective line", lambda k: 4 * k * (k + 3))
+SPECTRUM_7 = Spectrum(lambda k: 4 * k * (k + 3))
 
 
 def test_jacobi_residual_worked_example() -> None:
@@ -86,7 +86,7 @@ def test_residual_vanishes_on_refined_boxes() -> None:
             tight = box.refine(Fraction(1, 10**18))
             point = (tight.lo + tight.hi) / 2
             assert box.lo <= point <= box.hi
-            assert abs(r.jacobi_poly.evaluate(point)) < Fraction(1, 10**6)
+            assert abs(jacobi_residual(ROUND_7, lam).evaluate(point)) < Fraction(1, 10**6)
 
 
 def test_transversality_matches_derivative_sign() -> None:
@@ -167,6 +167,22 @@ datas = st.builds(
     st.fractions(min_value=-8, max_value=24, max_denominator=4),
 )
 ts = st.fractions(min_value=Fraction(1, 10), max_value=10, max_denominator=12)
+lams = st.fractions(min_value=Fraction(1, 4), max_value=200, max_denominator=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(datas, lams)
+def test_scalar_coincidence_poly_expanded(data: SubmersionData, lam: Fraction) -> None:
+    # t * (lambda(n-1) - scal_t) written out from the six constants.
+    n, l = data.n, data.l
+    expected = LaurentPoly(
+        {
+            2: data.eta * l,
+            1: lam * (n - 1) - data.lambda_b * (n - l),
+            0: -l * data.lambda_f,
+        }
+    )
+    assert scalar_coincidence_poly(data, lam) == expected
 
 
 @settings(max_examples=60, deadline=None)

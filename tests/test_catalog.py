@@ -95,9 +95,6 @@ def test_base_spectra_frozen_values() -> None:
     assert first_eigenvalues(HopfFamily("ii", 1), 3) == [16, 40, 72]
     assert first_eigenvalues(HopfFamily("iii", 2), 2) == [24, 56]
     assert first_eigenvalues(HopfFamily("iv"), 3) == [32, 72, 120]
-    assert "CP^2" in base_spectrum(HopfFamily("i", 2)).description
-    assert "HP^3" in base_spectrum(HopfFamily("ii", 3)).description
-    assert "S^8" in base_spectrum(HopfFamily("iv")).description
 
 
 def test_base_spectra_increase() -> None:

@@ -178,6 +178,15 @@ def test_asymptotics_output(capsys) -> None:
     assert blob["expansion"] == {"result": True, "method": "direct"}
 
 
+def test_asymptotics_rejects_inadmissible_custom_data(capsys) -> None:
+    # Criterion-range (n, l) with eta*l != zeta*(n-l): no verdict, exit 2.
+    code, out, err = invoke(
+        capsys, "asymptotics", "--custom", "n=7,l=3,zeta=3,eta=100,lambda_f=2,lambda_b=16"
+    )
+    assert code == 2 and not out
+    assert err == "invalid input: eta*l=300 must equal zeta*(n-l)=12\n"
+
+
 def test_sample_csv_accuracy(capsys, tmp_path: Path) -> None:
     target = tmp_path / "samples.csv"
     code, out, err = invoke(

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcurv.algebra.laurent import LaurentPoly
+from qcurv.bifurcation import find_instants
 from qcurv.errors import ValidationError
 from qcurv.geometry import (
-    CurvaturePackage,
     SubmersionData,
     curvature_package,
     einstein_q,
@@ -22,6 +22,19 @@ ROUND_7 = SubmersionData(7, 3, Fraction(3), Fraction(4), Fraction(2), Fraction(1
 ROUND_15 = SubmersionData(15, 7, Fraction(7), Fraction(8), Fraction(6), Fraction(28))
 # Circle fibre over CP^2, round total space S^5 at t = 1.
 ROUND_5 = SubmersionData(5, 1, Fraction(1), Fraction(4), Fraction(0), Fraction(6))
+
+# The package's polynomial fields, in output order.
+FIELDS = (
+    "kappa",
+    "ric_vertical",
+    "ric_vertical_reference",
+    "ric_horizontal",
+    "ric_norm_sq",
+    "scal",
+    "q_curv",
+    "alpha",
+    "beta",
+)
 
 
 def _valid_data(draw) -> SubmersionData:
@@ -58,11 +71,17 @@ def test_curvature_package_rejects_invalid_data() -> None:
     [(7.0, 3, "n=7.0"), ("7", 3, "n='7'"), (7, 3.0, "l=3.0"), (7, True, "l=True")],
 )
 def test_non_integer_dimensions_are_validation_errors(n, l, field: str) -> None:
-    data = SubmersionData(n, l, 3, 4, 2, 12)
-    assert any(p.startswith(field) for p in validate(data))
-    with pytest.raises(ValidationError) as info:
-        curvature_package(data)
-    assert any(p.startswith(field) for p in info.value.violations)
+    # The non-int datum equals and hashes like its int twin, so it must be
+    # refused on construction, before and after the twin's package is cached.
+    # zeta = l and eta = n - l satisfy eta*l = zeta*(n-l); circles need lambda_f = 0.
+    constants = (int(l), 7 - int(l), 0 if int(l) == 1 else 2, 12)
+    with pytest.raises(ValidationError) as before:
+        SubmersionData(n, l, *constants)
+    assert find_instants(SubmersionData(int(n), int(l), *constants), 7)
+    with pytest.raises(ValidationError) as after:
+        SubmersionData(n, l, *constants)
+    for info in (before, after):
+        assert any(p.startswith(field) for p in info.value.violations)
 
 
 def test_worked_example_polynomials() -> None:
@@ -111,7 +130,7 @@ def test_exponent_windows(data: SubmersionData) -> None:
     assert set(pkg.q_curv.exponents()) <= {-2, -1, 0, 1, 2}
     if data.l == 1:
         # One-dimensional fibres are flat, so nothing blows up as t -> 0.
-        for name in CurvaturePackage._FIELDS:
+        for name in FIELDS:
             poly = getattr(pkg, name)
             assert poly.is_zero or poly.min_exp >= 0
 
@@ -119,17 +138,26 @@ def test_exponent_windows(data: SubmersionData) -> None:
 @settings(max_examples=80, deadline=None)
 @given(valid_data)
 def test_structural_identities(data: SubmersionData) -> None:
+    # The package derives everything from the two Ricci eigenvalues; check
+    # it against the expanded formulas in the six constants.
     n, l = data.n, data.l
+    zeta, eta, lam_f, lam_b = data.zeta, data.eta, data.lambda_f, data.lambda_b
     pkg = curvature_package(data)
     t = LaurentPoly.t_power(1)
+    t_inv = LaurentPoly.t_power(-1)
+    kappa = lam_b - 2 * zeta * t
+    ric_v = lam_f * t_inv + eta * t
+    scal = l * lam_f * t_inv + lam_b * (n - l) - eta * l * t
+    assert pkg.kappa == pkg.ric_horizontal == kappa
+    assert pkg.ric_vertical == ric_v
+    assert pkg.ric_vertical_reference == lam_f + eta * t * t
+    assert pkg.scal == scal
+    assert pkg.ric_norm_sq == l * ric_v**2 + (n - l) * kappa**2
+    # Q term by term: horizontal and vertical |Ric|^2 parts, then scal^2.
+    d = (n - 2) ** 2
+    c = Fraction(n**3 - 4 * n**2 + 16 * n - 16, 8 * (n - 1) ** 2 * d)
+    assert pkg.q_curv == -2 * (n - l) * kappa**2 / d - 2 * l * ric_v**2 / d + c * scal**2
     assert pkg.beta == -2 * pkg.q_curv
-    assert pkg.ric_horizontal == pkg.kappa
-    assert pkg.scal == l * pkg.ric_vertical + (n - l) * pkg.ric_horizontal
-    assert pkg.ric_norm_sq == l * pkg.ric_vertical**2 + (n - l) * pkg.ric_horizontal**2
-    assert pkg.ric_vertical_reference == t * pkg.ric_vertical
-    # Q assembled from |Ric|^2 and scal agrees with the direct formula.
-    c = Fraction(n**3 - 4 * n**2 + 16 * n - 16, 8 * (n - 1) ** 2 * (n - 2) ** 2)
-    assert pkg.q_curv == c * pkg.scal**2 - 2 * pkg.ric_norm_sq / (n - 2) ** 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -147,7 +175,7 @@ def test_pointwise_evaluation_consistency(data: SubmersionData, t: Fraction) -> 
 def test_evaluate_at_reports_every_field() -> None:
     pkg = curvature_package(ROUND_7)
     at = pkg.evaluate_at(Fraction(1, 2))
-    assert set(at) == set(CurvaturePackage._FIELDS)
+    assert tuple(at) == FIELDS
     assert at["scal"] == 6 * 2 + 48 - 12 * Fraction(1, 2)
 
 
@@ -160,6 +188,7 @@ def test_json_shapes() -> None:
         "lambda_f": "2",
         "lambda_b": "12",
     }
+    assert tuple(ROUND_7.to_json()) == ("n", "l", "zeta", "eta", "lambda_f", "lambda_b")
     blob = curvature_package(ROUND_7).to_json()
-    assert set(blob) == set(CurvaturePackage._FIELDS)
+    assert tuple(blob) == FIELDS
     assert blob["kappa"] == {"0": "12", "1": "-6"}
