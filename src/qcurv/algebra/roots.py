@@ -20,7 +20,7 @@ Boxes are immutable to their users.  Refinement returns a new, narrower
 box; a bisection point that happens to hit the root exactly collapses
 the box to width zero.  ``compare`` keeps, in a private slot, the
 narrowest sub-box it has found for each box and starts the next
-comparison from there; ``lo``, ``hi`` and refinement are unaffected.
+comparison from there; refinement starts there too, with the same result.
 """
 
 from __future__ import annotations
@@ -111,6 +111,9 @@ class RootBox:
             raise DomainError("refinement width must be positive")
         if self.is_exact:
             return self
+        # compare's sub-box is a node of the same bisection tree: the same result.
+        if self._narrow is not None and self._narrow.width > target:
+            return self._narrow.refine(target)
         # lo / den and hi / den; den doubles at every bisection, so it stays
         # a power of two when the endpoints are dyadic.
         den = lcm(self.lo.denominator, self.hi.denominator)

@@ -24,52 +24,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .algebra.laurent import LaurentPoly
 from .algebra.quadext import QuadExtValue
-from .errors import DomainError, ValidationError
-from .geometry import CurvaturePackage, SubmersionData, curvature_package, validate
+from .errors import DomainError
+from .geometry import CurvaturePackage, SubmersionData, curvature_package
 
 
-@dataclass(frozen=True)
-class DimPair:
-    """Total dimension n and fibre dimension l of a submersion."""
-
-    n: int
-    l: int
-
-
-def dim_pair(data: SubmersionData) -> DimPair:
-    return DimPair(data.n, data.l)
-
-
-def in_range_d1(dp: DimPair) -> bool:
+def in_range_d1(n: int, l: int) -> bool:
     """Low-dimensional range: 5 <= n <= 8 with fibres of dimension >= 3."""
-    return 5 <= dp.n <= 8 and dp.l >= 3
+    return 5 <= n <= 8 and l >= 3
 
 
-def in_range_d2(dp: DimPair) -> bool:
+def in_range_d2(n: int, l: int) -> bool:
     """Stable range: n >= 9 with fibres of dimension >= 2."""
-    return dp.n >= 9 and dp.l >= 2
+    return n >= 9 and l >= 2
 
 
-def in_range_d3(dp: DimPair) -> bool:
+def in_range_d3(n: int, l: int) -> bool:
     """Circle fibres, which need n >= 21."""
-    return dp.n >= 21 and dp.l == 1
+    return n >= 21 and l == 1
 
 
-def poly_abc(dp: DimPair) -> tuple[Fraction, Fraction, Fraction]:
+def poly_abc(n: int, l: int) -> tuple[Fraction, Fraction, Fraction]:
     """The sign-governing coefficients (a, b, c) as exact rationals."""
-    n, l = dp.n, dp.l
     a = Fraction(((n**4 + 64 * n - 64) * l - 128 * (n - 1) ** 2) * l)
     b = Fraction(-32 * l * (n**3 - 5 * n**2 + 12 * n - 8))
     c = -512 * (n - 1) ** 2 * (Fraction(n - l) - Fraction(1, 2))
     return a, b, c
 
 
-def delta_rho(dp: DimPair) -> tuple[Fraction, QuadExtValue, QuadExtValue]:
+def delta_rho(n: int, l: int) -> tuple[Fraction, QuadExtValue, QuadExtValue]:
     """Discriminant delta = b^2 - 4ac and the roots rho_-, rho_+ of the sign quadratic."""
-    a, b, c = poly_abc(dp)
+    a, b, c = poly_abc(n, l)
     if not a:
         raise DomainError("sign quadratic is degenerate (a = 0)")
     delta = b * b - 4 * a * c
@@ -80,10 +68,17 @@ def delta_rho(dp: DimPair) -> tuple[Fraction, QuadExtValue, QuadExtValue]:
     return delta, rho_minus, rho_plus
 
 
-def etazeta_radicand(dp: DimPair) -> Fraction:
+def etazeta_radicand(n: int, l: int) -> Fraction:
     """The quantity under the square root in the ratio threshold."""
-    n, l = dp.n, dp.l
     return Fraction((n**3 - 4 * n**2 + 16 * n - 16) * l**2 - 16 * (n - 1) ** 2 * l)
+
+
+def _threshold_sq(n: int, l: int) -> Fraction | None:
+    """Square of the ratio threshold, 64 (n-1)^2 (n-l) / radicand; None if radicand <= 0."""
+    radicand = etazeta_radicand(n, l)
+    if radicand <= 0:
+        return None
+    return 64 * (n - 1) ** 2 * (n - l) / radicand
 
 
 def ratio_condition(data: SubmersionData) -> bool:
@@ -94,15 +89,11 @@ def ratio_condition(data: SubmersionData) -> bool:
     """
     if data.zeta <= 0 or data.eta <= 0:
         raise DomainError("ratio condition needs zeta > 0 and eta > 0")
-    dp = dim_pair(data)
-    radicand = etazeta_radicand(dp)
-    if radicand <= 0:
-        return False
-    n, l = dp.n, dp.l
-    return data.eta**2 * radicand > data.zeta**2 * 64 * (n - 1) ** 2 * (n - l)
+    big_r = _threshold_sq(data.n, data.l)
+    return big_r is not None and data.eta**2 > data.zeta**2 * big_r
 
 
-def rhs_exceeds_rho_plus(dp: DimPair) -> bool:
+def rhs_exceeds_rho_plus(n: int, l: int) -> bool:
     """Exact check that the ratio threshold exceeds rho_+.
 
     Writing R for the square of the threshold 8(n-1) sqrt(n-l) /
@@ -110,14 +101,12 @@ def rhs_exceeds_rho_plus(dp: DimPair) -> bool:
     into 4 a^2 R > b^2 together with a R + c + b sqrt(R) > 0; both are
     decided exactly, the second in Q(sqrt(R)).
     """
-    a, b, c = poly_abc(dp)
+    a, b, c = poly_abc(n, l)
     if a <= 0:
         raise DomainError("comparison derived under a > 0")
-    radicand = etazeta_radicand(dp)
-    if radicand <= 0:
+    big_r = _threshold_sq(n, l)
+    if big_r is None:
         raise DomainError("ratio threshold undefined for nonpositive radicand")
-    n, l = dp.n, dp.l
-    big_r = Fraction(64 * (n - 1) ** 2 * (n - l)) / radicand
     if 4 * a**2 * big_r <= b**2:
         return False
     return QuadExtValue(a * big_r + c, b, big_r).sign() > 0
@@ -127,14 +116,13 @@ def collapse_criterion(data: SubmersionData) -> bool:
     """Sufficient condition for instants accumulating at t -> 0."""
     if data.lambda_f <= 0:
         return False
-    dp = dim_pair(data)
-    return in_range_d1(dp) or in_range_d2(dp)
+    return in_range_d1(data.n, data.l) or in_range_d2(data.n, data.l)
 
 
 def expansion_criterion(data: SubmersionData) -> bool:
     """Sufficient condition for instants accumulating at t -> infinity."""
-    dp = dim_pair(data)
-    if not (in_range_d1(dp) or in_range_d2(dp) or in_range_d3(dp)):
+    n, l = data.n, data.l
+    if not (in_range_d1(n, l) or in_range_d2(n, l) or in_range_d3(n, l)):
         return False
     if data.zeta <= 0 or data.eta <= 0:
         return False
@@ -214,31 +202,19 @@ class AsymptoticVerdict:
         }
 
 
+def _end_method(
+    data: SubmersionData,
+    criterion: Callable[[SubmersionData], bool],
+    direct_check: Callable[[SubmersionData], bool],
+) -> str:
+    """The method that settles one end: the criterion first, then the direct check."""
+    if criterion(data):
+        return "criterion"
+    return "direct" if direct_check(data) else "negative"
+
+
 def classify(data: SubmersionData) -> AsymptoticVerdict:
-    """Decide accumulation at both ends, preferring the general criterion.
-
-    Inadmissible data raises ValidationError before any verdict.
-    """
-    problems = validate(data)
-    if problems:
-        raise ValidationError(problems)
-    if collapse_criterion(data):
-        collapse, c_method = True, "criterion"
-    elif collapse_direct_check(data):
-        collapse, c_method = True, "direct"
-    else:
-        collapse, c_method = False, "negative"
-
-    if expansion_criterion(data):
-        expansion, e_method = True, "criterion"
-    elif expansion_direct_check(data):
-        expansion, e_method = True, "direct"
-    else:
-        expansion, e_method = False, "negative"
-
-    return AsymptoticVerdict(
-        collapse_infinite=collapse,
-        expansion_infinite=expansion,
-        collapse_method=c_method,
-        expansion_method=e_method,
-    )
+    """Decide accumulation at both ends, preferring the general criterion."""
+    c_method = _end_method(data, collapse_criterion, collapse_direct_check)
+    e_method = _end_method(data, expansion_criterion, expansion_direct_check)
+    return AsymptoticVerdict(c_method != "negative", e_method != "negative", c_method, e_method)

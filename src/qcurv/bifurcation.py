@@ -16,23 +16,22 @@ condition, decided exactly via a gcd.
 
 Everything is exact: roots are held in isolating boxes, and both the
 transversality and the scalar-coincidence decisions are algebraic,
-never numerical.
+never numerical.  The curvature package is cached in ``geometry``: it
+is built once per datum, not once per eigenvalue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key
 from typing import Callable, Union
 
-from .algebra.intpoly import trim
 from .algebra.laurent import LaurentPoly
 from .algebra.roots import RootBox, isolate_positive_roots, root_is_simple
 from .errors import DomainError
-from .geometry import CurvaturePackage, SubmersionData, curvature_package
+from .geometry import Scalar, SubmersionData, curvature_package
 
-Scalar = Union[int, Fraction]
 Window = tuple[Fraction, Union[Fraction, None]]
 
 
@@ -71,20 +70,10 @@ class InstantReport:
         }
 
 
-@lru_cache(maxsize=1)
-def _package(data: SubmersionData) -> CurvaturePackage:
-    """The curvature package of the latest datum only.
-
-    enumerate_instants asks for the package of one datum once per
-    eigenvalue; one slot builds it once and holds no other datum.
-    """
-    return curvature_package(data)
-
-
 def jacobi_residual(data: SubmersionData, lam: Scalar) -> LaurentPoly:
     """The Jacobi quadratic (1/2) lambda^2 + alpha_t lambda + beta_t."""
     lam = Fraction(lam)
-    pkg = _package(data)
+    pkg = curvature_package(data)
     return Fraction(1, 2) * lam**2 + lam * pkg.alpha + pkg.beta
 
 
@@ -94,7 +83,7 @@ def scalar_coincidence_poly(data: SubmersionData, lam: Scalar) -> LaurentPoly:
     It is t (lambda(n-1) - scal_t), which written out is the quadratic
     eta*l*t^2 + (lambda(n-1) - lambda_B(n-l))*t - l*lambda_F.
     """
-    return LaurentPoly.t_power(1) * (Fraction(lam) * (data.n - 1) - _package(data).scal)
+    return LaurentPoly.t_power(1) * (Fraction(lam) * (data.n - 1) - curvature_package(data).scal)
 
 
 def find_instants(data: SubmersionData, lam: Scalar) -> list[InstantReport]:
@@ -119,7 +108,7 @@ def find_instants(data: SubmersionData, lam: Scalar) -> list[InstantReport]:
                 lam=lam,
                 root=box,
                 transversal=root_is_simple(box),
-                scalar_distinct=not box.vanishes_at_root(trim(coincidence)),
+                scalar_distinct=not box.vanishes_at_root(coincidence),
             )
         )
     return reports

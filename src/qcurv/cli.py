@@ -63,16 +63,13 @@ def _parse_custom(text: str) -> geometry.SubmersionData:
             detail.append(f"unknown {sorted(extra)}")
         raise UsageError("custom data: " + ", ".join(detail))
     try:
-        return geometry.SubmersionData(
-            n=int(fields["n"]),
-            l=int(fields["l"]),
-            zeta=parse_rational(fields["zeta"]),
-            eta=parse_rational(fields["eta"]),
-            lambda_f=parse_rational(fields["lambda_f"]),
-            lambda_b=parse_rational(fields["lambda_b"]),
+        n, l = int(fields["n"]), int(fields["l"])
+        zeta, eta, lambda_f, lambda_b = (
+            parse_rational(fields[key]) for key in ("zeta", "eta", "lambda_f", "lambda_b")
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    return geometry.SubmersionData(n, l, zeta, eta, lambda_f, lambda_b)
 
 
 def _select_data(args: argparse.Namespace) -> tuple[geometry.SubmersionData, catalog.HopfFamily | None]:

@@ -6,7 +6,8 @@ fibres (Einstein constant lambda_F, dimension l) over an Einstein base
 contributes the constants zeta (horizontal) and eta (vertical).  Scaling
 the fibres by t > 0 produces the canonical variation g_t; with constant
 scalar curvature along the family, every natural curvature quantity of
-g_t is a Laurent polynomial in t, computed here exactly.
+g_t is a Laurent polynomial in t, computed here exactly.  Each datum
+is checked for admissibility on construction.
 
 Everything is derived from the two Ricci eigenvalues of g_t,
 lambda_F/t + eta t (vertical) and lambda_B - 2 zeta t (horizontal):
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .algebra.laurent import LaurentPoly
@@ -35,11 +37,11 @@ Scalar = Union[int, Fraction]
 class SubmersionData:
     """Exact parameters of a canonical variation.
 
-    ``n`` and ``l`` must be ``int``, checked on construction: an equal
-    float or bool would hash like the int datum and share its cache.
-    ``eta * l == zeta * (n - l)`` ties the vertical and horizontal
-    contributions of the integrability tensor together; it is forced by
-    the symmetry of the mixed Ricci term and checked by ``validate``.
+    Construction raises one ``ValidationError`` listing every violation
+    of admissibility.  ``n`` and ``l`` must be ``int``: an equal float or
+    bool would hash like the int datum and share its cache.  ``eta * l ==
+    zeta * (n - l)`` ties the vertical and horizontal contributions of
+    the integrability tensor together, as the mixed Ricci term forces.
     """
 
     n: int
@@ -59,29 +61,24 @@ class SubmersionData:
             raise ValidationError(problems)
         for field in fields(self)[2:]:
             object.__setattr__(self, field.name, Fraction(getattr(self, field.name)))
+        n, l, zeta, eta = self.n, self.l, self.zeta, self.eta
+        if n < 5:
+            problems.append(f"total dimension n={n} must be at least 5")
+        if not 1 <= l < n:
+            problems.append(f"fibre dimension l={l} must satisfy 1 <= l < n")
+        if zeta < 0:
+            problems.append(f"zeta={zeta} must be nonnegative")
+        if eta < 0:
+            problems.append(f"eta={eta} must be nonnegative")
+        if eta * l != zeta * (n - l):
+            problems.append(f"eta*l={eta * l} must equal zeta*(n-l)={zeta * (n - l)}")
+        if l == 1 and self.lambda_f != 0:
+            problems.append("one-dimensional fibres force lambda_f = 0")
+        if problems:
+            raise ValidationError(problems)
 
     def to_json(self) -> dict[str, str]:
         return {field.name: str(getattr(self, field.name)) for field in fields(self)}
-
-
-def validate(data: SubmersionData) -> list[str]:
-    """All consistency violations, empty when the data is admissible."""
-    problems = []
-    if data.n < 5:
-        problems.append(f"total dimension n={data.n} must be at least 5")
-    if not 1 <= data.l < data.n:
-        problems.append(f"fibre dimension l={data.l} must satisfy 1 <= l < n")
-    if data.zeta < 0:
-        problems.append(f"zeta={data.zeta} must be nonnegative")
-    if data.eta < 0:
-        problems.append(f"eta={data.eta} must be nonnegative")
-    if data.eta * data.l != data.zeta * (data.n - data.l):
-        problems.append(
-            f"eta*l={data.eta * data.l} must equal zeta*(n-l)={data.zeta * (data.n - data.l)}"
-        )
-    if data.l == 1 and data.lambda_f != 0:
-        problems.append("one-dimensional fibres force lambda_f = 0")
-    return problems
 
 
 @dataclass(frozen=True)
@@ -121,11 +118,13 @@ class CurvaturePackage:
         return {field.name: getattr(self, field.name).evaluate(t) for field in fields(self)[1:]}
 
 
+@lru_cache(maxsize=1)
 def curvature_package(data: SubmersionData) -> CurvaturePackage:
-    """Assemble all curvature Laurent polynomials of the variation g_t."""
-    problems = validate(data)
-    if problems:
-        raise ValidationError(problems)
+    """Assemble all curvature Laurent polynomials of the variation g_t.
+
+    One slot caches the latest datum's package, which callers ask for
+    once per eigenvalue or once per end.
+    """
     n, l = data.n, data.l
     t = LaurentPoly.t_power(1)
 

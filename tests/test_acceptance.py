@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 
 from qcurv.asymptotics import (
-    DimPair,
     delta_rho,
     etazeta_radicand,
     expansion_direct_check,
@@ -141,19 +140,18 @@ def test_criterion_5_sign_polynomial_sweep(acceptance_log) -> None:
     failures = []
     for n in range(5, 61):
         for l in range(1, n):
-            dp = DimPair(n, l)
-            if not (in_range_d1(dp) or in_range_d2(dp) or in_range_d3(dp)):
+            if not (in_range_d1(n, l) or in_range_d2(n, l) or in_range_d3(n, l)):
                 continue
             checked += 1
-            a, b, c = poly_abc(dp)
-            delta, rho_minus, rho_plus = delta_rho(dp)
+            a, b, c = poly_abc(n, l)
+            delta, rho_minus, rho_plus = delta_rho(n, l)
             ok = (
                 a > 0
                 and b < 0
                 and c < 0
                 and delta > 0
-                and etazeta_radicand(dp) > 0
-                and rhs_exceeds_rho_plus(dp)
+                and etazeta_radicand(n, l) > 0
+                and rhs_exceeds_rho_plus(n, l)
             )
             if not ok:
                 failures.append(f"(n={n}, l={l})")

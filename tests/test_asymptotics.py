@@ -8,12 +8,10 @@ from hypothesis import given, settings, strategies as st
 from qcurv.algebra.laurent import LaurentPoly
 from qcurv.asymptotics import (
     AsymptoticVerdict,
-    DimPair,
     classify,
     collapse_criterion,
     collapse_direct_check,
     delta_rho,
-    dim_pair,
     etazeta_radicand,
     expansion_criterion,
     expansion_direct_check,
@@ -28,31 +26,29 @@ from qcurv.asymptotics import (
 from qcurv.algebra.quadext import QuadExtValue
 from qcurv.catalog import HopfFamily, hopf_data, members
 from qcurv.errors import DomainError, ValidationError
-from qcurv.geometry import SubmersionData
+from qcurv.geometry import SubmersionData, curvature_package
 
 
-def test_dim_pair_validation() -> None:
-    # classify validates the whole datum before any (n, l) range test.
-    for bad, field in (
-        (SubmersionData(4, 1, 0, 0, 0, 1), "total dimension n=4"),
-        (SubmersionData(7, 7, 0, 0, 1, 1), "fibre dimension l=7"),
-        (SubmersionData(7, 3, 3, 100, 2, 16), "eta*l=300"),
+def test_inadmissible_data_is_refused_on_construction() -> None:
+    # No criterion or classify ever sees an inadmissible datum.
+    for args, message in (
+        ((4, 1, 0, 0, 0, 1), "total dimension n=4"),
+        ((7, 7, 0, 0, 1, 1), "fibre dimension l=7"),
+        ((7, 3, 3, 100, 2, 16), "eta*l=300"),
     ):
         with pytest.raises(ValidationError) as info:
-            classify(bad)
-        assert any(p.startswith(field) for p in info.value.violations)
-    assert dim_pair(hopf_data(HopfFamily("ii", 1))) == DimPair(7, 3)
+            SubmersionData(*args)
+        assert any(p.startswith(message) for p in info.value.violations)
 
 
 def test_dimensional_ranges_partition() -> None:
-    assert in_range_d1(DimPair(7, 3)) and not in_range_d2(DimPair(7, 3))
-    assert in_range_d2(DimPair(9, 2)) and not in_range_d1(DimPair(9, 2))
-    assert in_range_d3(DimPair(21, 1)) and not in_range_d3(DimPair(19, 1))
-    assert not any(f(DimPair(8, 2)) for f in (in_range_d1, in_range_d2, in_range_d3))
+    assert in_range_d1(7, 3) and not in_range_d2(7, 3)
+    assert in_range_d2(9, 2) and not in_range_d1(9, 2)
+    assert in_range_d3(21, 1) and not in_range_d3(19, 1)
+    assert not any(f(8, 2) for f in (in_range_d1, in_range_d2, in_range_d3))
     for n in range(5, 40):
         for l in range(1, n):
-            dp = DimPair(n, l)
-            assert sum(f(dp) for f in (in_range_d1, in_range_d2, in_range_d3)) <= 1
+            assert sum(f(n, l) for f in (in_range_d1, in_range_d2, in_range_d3)) <= 1
 
 
 def minus_rational(v: QuadExtValue, x: int) -> QuadExtValue:
@@ -61,23 +57,23 @@ def minus_rational(v: QuadExtValue, x: int) -> QuadExtValue:
 
 
 def test_sign_quadratic_frozen_values() -> None:
-    assert poly_abc(DimPair(7, 3)) == (11241, -16704, -64512)
-    assert poly_abc(DimPair(15, 7)) == (2348913, -542528, -752640)
-    delta, rho_minus, rho_plus = delta_rho(DimPair(7, 3))
+    assert poly_abc(7, 3) == (11241, -16704, -64512)
+    assert poly_abc(15, 7) == (2348913, -542528, -752640)
+    delta, rho_minus, rho_plus = delta_rho(7, 3)
     assert delta == 3179741184
     assert rho_minus.sign() == -1
     assert minus_rational(rho_plus, 3).sign() == 1
     assert minus_rational(rho_plus, 4).sign() == -1
-    delta15, _, rho_plus15 = delta_rho(DimPair(15, 7))
+    delta15, _, rho_plus15 = delta_rho(15, 7)
     assert delta15 == 7365880152064
     assert minus_rational(rho_plus15, 0).sign() == 1
     assert minus_rational(rho_plus15, 1).sign() == -1
 
 
 def test_rho_are_exact_roots_of_the_quadratic() -> None:
-    for dp in (DimPair(7, 3), DimPair(15, 7), DimPair(11, 3), DimPair(23, 2)):
-        a, b, c = poly_abc(dp)
-        delta, rho_minus, rho_plus = delta_rho(dp)
+    for n, l in ((7, 3), (15, 7), (11, 3), (23, 2)):
+        a, b, c = poly_abc(n, l)
+        delta, rho_minus, rho_plus = delta_rho(n, l)
         for rho in (rho_minus, rho_plus):
             # a rho^2 + b rho + c with rho = p + r sqrt(delta), split into
             # its rational part and its sqrt(delta) part; both must vanish.
@@ -90,9 +86,9 @@ def test_rho_are_exact_roots_of_the_quadratic() -> None:
 
 
 def test_etazeta_radicand_values() -> None:
-    assert etazeta_radicand(DimPair(7, 3)) == 459
-    assert etazeta_radicand(DimPair(15, 3)) == 14883
-    assert etazeta_radicand(DimPair(5, 1)) == -167
+    assert etazeta_radicand(7, 3) == 459
+    assert etazeta_radicand(15, 3) == 14883
+    assert etazeta_radicand(5, 1) == -167
 
 
 def test_ratio_condition_examples() -> None:
@@ -117,10 +113,10 @@ def test_ratio_condition_thresholds(family: str, true_from: int) -> None:
 
 
 def test_rhs_exceeds_rho_plus_on_sample_pairs() -> None:
-    for dp in (DimPair(7, 3), DimPair(15, 7), DimPair(11, 3), DimPair(23, 2), DimPair(21, 1)):
-        assert rhs_exceeds_rho_plus(dp)
+    for n, l in ((7, 3), (15, 7), (11, 3), (23, 2), (21, 1)):
+        assert rhs_exceeds_rho_plus(n, l)
     with pytest.raises(DomainError):
-        rhs_exceeds_rho_plus(DimPair(5, 1))  # negative radicand
+        rhs_exceeds_rho_plus(5, 1)  # negative radicand
 
 
 def test_collapse_criterion_cases() -> None:
@@ -188,6 +184,16 @@ def test_classify_methods_and_json() -> None:
     assert blob["expansion"] == {"result": True, "method": "direct"}
 
 
+@pytest.mark.parametrize("fam", [HopfFamily("i", 2), HopfFamily("iii", 1)], ids=str)
+def test_classify_builds_one_package(fam: HopfFamily) -> None:
+    # Both ends take the direct path here and share one cached package.
+    curvature_package.cache_clear()
+    classify(hopf_data(fam))
+    info = curvature_package.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+
 def test_q_limit_signs_unit_cases() -> None:
     t = LaurentPoly.t_power(1)
     t_inv = LaurentPoly.t_power(-1)
@@ -204,13 +210,12 @@ def test_q_limit_signs_unit_cases() -> None:
 def test_sign_sweep_small() -> None:
     for n in range(5, 26):
         for l in range(1, n):
-            dp = DimPair(n, l)
-            if not (in_range_d1(dp) or in_range_d2(dp) or in_range_d3(dp)):
+            if not (in_range_d1(n, l) or in_range_d2(n, l) or in_range_d3(n, l)):
                 continue
-            a, b, c = poly_abc(dp)
+            a, b, c = poly_abc(n, l)
             assert a > 0 and b < 0 and c < 0
-            delta, rho_minus, rho_plus = delta_rho(dp)
+            delta, rho_minus, rho_plus = delta_rho(n, l)
             assert delta > 0
             assert rho_minus.sign() == -1 and rho_plus.sign() == 1
-            assert etazeta_radicand(dp) > 0
-            assert rhs_exceeds_rho_plus(dp)
+            assert etazeta_radicand(n, l) > 0
+            assert rhs_exceeds_rho_plus(n, l)

@@ -187,6 +187,28 @@ def test_asymptotics_rejects_inadmissible_custom_data(capsys) -> None:
     assert err == "invalid input: eta*l=300 must equal zeta*(n-l)=12\n"
 
 
+INADMISSIBLE = "n=7,l=3,zeta=3,eta=100,lambda_f=2,lambda_b=16"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # asymptotics: test_asymptotics_rejects_inadmissible_custom_data.
+        ("curvature",),
+        ("instants", "--lambda", "7"),
+        ("sample", "--t-range", "1:2", "--steps", "3", "--out", "-"),
+        # Other usage errors in the same argv: the datum is reported first.
+        ("curvature", "--at", "-1"),
+        ("instants", "--eigs", "3"),
+        ("sample", "--t-range", "2:1", "--steps", "3", "--out", "-"),
+    ],
+)
+def test_inadmissible_custom_data_exits_2_on_every_command(capsys, argv) -> None:
+    code, out, err = invoke(capsys, *argv, "--custom", INADMISSIBLE)
+    assert code == 2 and not out
+    assert err == "invalid input: eta*l=300 must equal zeta*(n-l)=12\n"
+
+
 def test_sample_csv_accuracy(capsys, tmp_path: Path) -> None:
     target = tmp_path / "samples.csv"
     code, out, err = invoke(

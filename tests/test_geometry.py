@@ -13,7 +13,6 @@ from qcurv.geometry import (
     curvature_package,
     einstein_q,
     pointwise_q,
-    validate,
 )
 
 # Fibre S^3 over S^4, round total space S^7 at t = 1.
@@ -51,13 +50,37 @@ valid_data = st.composite(_valid_data)()
 positive_t = st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=20)
 
 
-def test_validate_flags_each_violation() -> None:
-    assert validate(ROUND_7) == []
-    assert any("n=4" in p for p in validate(SubmersionData(4, 1, 0, 0, 0, 1)))
-    assert any("l=7" in p for p in validate(SubmersionData(7, 7, 0, 0, 1, 1)))
-    assert any("zeta" in p for p in validate(SubmersionData(7, 3, -1, Fraction(-4, 3), 2, 12)))
-    assert any("eta*l" in p for p in validate(SubmersionData(7, 3, 3, 5, 2, 12)))
-    assert any("lambda_f" in p for p in validate(SubmersionData(7, 1, 1, 6, 3, 12)))
+def test_construction_flags_each_violation() -> None:
+    for args, message in (
+        ((4, 1, 0, 0, 0, 1), "total dimension n=4 must be at least 5"),
+        ((7, 7, 0, 0, 1, 1), "fibre dimension l=7 must satisfy 1 <= l < n"),
+        ((7, 3, -1, Fraction(-4, 3), 2, 12), "zeta=-1 must be nonnegative"),
+        ((7, 3, -1, Fraction(-4, 3), 2, 12), "eta=-4/3 must be nonnegative"),
+        ((7, 3, 3, 5, 2, 12), "eta*l=15 must equal zeta*(n-l)=12"),
+        ((7, 1, 1, 6, 3, 12), "one-dimensional fibres force lambda_f = 0"),
+    ):
+        with pytest.raises(ValidationError) as info:
+            SubmersionData(*args)
+        assert message in info.value.violations, message
+
+
+def test_construction_reports_every_violation_in_order() -> None:
+    with pytest.raises(ValidationError) as info:
+        SubmersionData(5, 5, -1, 1, 2, 3)
+    assert info.value.violations == [
+        "fibre dimension l=5 must satisfy 1 <= l < n",
+        "zeta=-1 must be nonnegative",
+        "eta*l=5 must equal zeta*(n-l)=0",
+    ]
+    with pytest.raises(ValidationError) as info:
+        SubmersionData(4, 1, -2, -1, 1, 0)
+    assert info.value.violations == [
+        "total dimension n=4 must be at least 5",
+        "zeta=-2 must be nonnegative",
+        "eta=-1 must be nonnegative",
+        "eta*l=-1 must equal zeta*(n-l)=-6",
+        "one-dimensional fibres force lambda_f = 0",
+    ]
 
 
 def test_curvature_package_rejects_invalid_data() -> None:

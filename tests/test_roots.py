@@ -341,3 +341,23 @@ def test_disjoint_boxes_are_ordered_without_a_gcd(monkeypatch) -> None:
     other = isolate_positive_roots(poly_with_roots([Fraction(3)], extra=[-2, 0, 1]))[0]
     assert sqrt2.compare(other) == 0
     assert len(calls) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(planted, min_size=2, max_size=3),
+    st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50)), min_size=1, max_size=30),
+)
+def test_refine_after_comparisons_matches_a_fresh_box(drawn: list, warm_up: list) -> None:
+    items = [box for one in drawn for box, _ in planted_boxes(one)]
+    n = len(items)
+    for i, j in warm_up:  # narrows the boxes in an order hypothesis picks
+        items[i % n].compare(items[j % n])
+    for box in items:
+        if box.is_exact:
+            continue
+        narrowed = (box._narrow or box).width or box.width
+        # Targets above the narrowed width, on it and below it.
+        for scale in (4, 2, 1, Fraction(3, 4), Fraction(1, 2**20)):
+            tight, direct = box.refine(narrowed * scale), fresh(box).refine(narrowed * scale)
+            assert (tight.lo, tight.hi) == (direct.lo, direct.hi)
