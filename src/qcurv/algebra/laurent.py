@@ -1,72 +1,78 @@
 """Laurent polynomials in one variable with exact rational coefficients.
 
-A Laurent polynomial is stored sparsely as a map from integer exponent
-(possibly negative) to a nonzero Fraction.  All the curvature quantities
-of a canonical variation live in Z[t, 1/t] tensored with Q, so this is
-the workhorse type of the package.  Values are immutable: every
-operation returns a new polynomial.
+A polynomial is integer numerators over one positive denominator:
+``(low, num, den)`` is sum(num[i] * t**(low + i)) / den, with no zero at
+either end of ``num`` and gcd(den, *num) == 1, so equal polynomials have
+equal triples.  The curvature quantities of a canonical variation live
+in Z[t, 1/t] tensored with Q, so this is the workhorse type of the
+package.  Ring operations align, convolve and rescale integers;
+``Fraction`` appears only at the boundary.  Values are immutable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Mapping, Sequence
 
 from ..errors import DomainError
-from .rationals import format_rational
-
-Scalar = Union[int, Fraction]
+from . import intpoly
+from .rationals import Scalar, format_rational
 
 
 class LaurentPoly:
     """An exact Laurent polynomial sum(c_k * t**k) over the rationals."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_low", "_num", "_den")
 
     def __init__(self, coeffs: Mapping[int, Scalar] = MappingProxyType({})):
-        data: dict[int, Fraction] = {}
+        terms = {}
         for exp, val in coeffs.items():
             if not isinstance(exp, int):
                 raise TypeError(f"exponent must be an int, got {exp!r}")
-            c = Fraction(val)
+            c = val if isinstance(val, (int, Fraction)) else Fraction(val)
             if c:
-                data[exp] = c
-        self._coeffs = {k: data[k] for k in sorted(data)}
+                terms[exp] = c
+        # Over the lcm of the denominators the numerators are in lowest terms.
+        self._low = low = min(terms, default=0)
+        self._den = den = lcm(*[c.denominator for c in terms.values()])
+        num = [0] * (max(terms, default=-1) - low + 1)
+        for exp, c in terms.items():
+            num[exp - low] = c.numerator * (den // c.denominator)
+        self._num = tuple(num)
 
     @classmethod
     def const(cls, value: Scalar) -> "LaurentPoly":
-        return cls({0: Fraction(value)})
+        return cls({0: value})
 
     @classmethod
     def t_power(cls, exp: int, coeff: Scalar = 1) -> "LaurentPoly":
-        return cls({exp: Fraction(coeff)})
+        return cls({exp: coeff})
 
     def coeff(self, exp: int) -> Fraction:
-        return self._coeffs.get(exp, Fraction(0))
+        i = exp - self._low
+        return Fraction(self._num[i], self._den) if 0 <= i < len(self._num) else Fraction(0)
 
     def items(self) -> tuple[tuple[int, Fraction], ...]:
-        return tuple(self._coeffs.items())
-
-    def exponents(self) -> tuple[int, ...]:
-        return tuple(self._coeffs)
+        low, den = self._low, self._den
+        return tuple([(low + i, Fraction(c, den)) for i, c in enumerate(self._num) if c])
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     @property
     def min_exp(self) -> int:
-        if not self._coeffs:
+        if not self._num:
             raise DomainError("zero polynomial has no minimal exponent")
-        return next(iter(self._coeffs))
+        return self._low
 
     @property
     def max_exp(self) -> int:
-        if not self._coeffs:
+        if not self._num:
             raise DomainError("zero polynomial has no maximal exponent")
-        return next(reversed(self._coeffs))
+        return self._low + len(self._num) - 1
 
     # -- ring operations ------------------------------------------------
 
@@ -74,19 +80,19 @@ class LaurentPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        data = dict(self._coeffs)
-        for exp, c in other._coeffs.items():
-            s = data.get(exp, Fraction(0)) + c
-            if s:
-                data[exp] = s
-            else:
-                data.pop(exp, None)
-        return _wrap(data)
+        den = lcm(self._den, other._den)
+        low = min(self._low, other._low)
+        out = [0] * (max(self._low + len(self._num), other._low + len(other._num)) - low)
+        for poly in (self, other):
+            scale, offset = den // poly._den, poly._low - low
+            for i, c in enumerate(poly._num):
+                out[offset + i] += c * scale
+        return _make(low, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return _wrap({k: -c for k, c in self._coeffs.items()})
+        return _make(self._low, [-c for c in self._num], self._den)
 
     def __sub__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         other = _coerce(other)
@@ -101,16 +107,12 @@ class LaurentPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        data: dict[int, Fraction] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                s = data.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    data[e] = s
-                else:
-                    del data[e]
-        return _wrap(data)
+        a, b = self._num, other._num
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return _make(self._low + other._low, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -118,7 +120,7 @@ class LaurentPoly:
         c = Fraction(scalar)
         if not c:
             raise ZeroDivisionError("division of a Laurent polynomial by zero")
-        return _wrap({k: v / c for k, v in self._coeffs.items()})
+        return _make(self._low, [x * c.denominator for x in self._num], self._den * c.numerator)
 
     def __pow__(self, exponent: int) -> "LaurentPoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -129,41 +131,32 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, LaurentPoly):
-            return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == LaurentPoly.const(other)
-        return NotImplemented
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return (self._low, self._num, self._den) == (other._low, other._num, other._den)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        return hash((self._low, self._num, self._den))
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
 
-    # -- calculus and evaluation ----------------------------------------
-
-    def derivative(self) -> "LaurentPoly":
-        """Formal derivative d/dt (the t**0 term drops, t**-1 becomes -t**-2)."""
-        return _wrap({k - 1: k * c for k, c in self._coeffs.items() if k != 0})
-
-    def __call__(self, t: Scalar) -> Fraction:
-        return self.evaluate(t)
+    # -- evaluation -----------------------------------------------------
 
     def evaluate(self, t: Scalar) -> Fraction:
         """Exact value at a rational point; t = 0 needs no negative exponents."""
         t = Fraction(t)
-        if not t:
-            if self._coeffs and self.min_exp < 0:
+        if not (t and self._num):
+            if self._low < 0:
                 raise DomainError("evaluation at 0 with negative exponents present")
             return self.coeff(0)
-        # Horner on the ordinary-polynomial part of p * t**shift.
-        shift = -min(self.min_exp, 0) if self._coeffs else 0
-        acc = Fraction(0)
-        if self._coeffs:
-            for exp in range(self.max_exp, -shift - 1, -1):
-                acc = acc * t + self.coeff(exp)
-        return acc * t ** (-shift) if shift else acc
+        # The value is t**low * P(t) / den, P the numerators; intpoly gives q**deg(P) * P(p / q).
+        p, q = t.numerator, t.denominator
+        value = Fraction(intpoly.evaluate(self._num, p, q), self._den * q ** (len(self._num) - 1))
+        return value * t**self._low if self._low else value
+
+    __call__ = evaluate
 
     def clear_denominators(self) -> tuple[tuple[int, ...], int]:
         """Convert to an integer polynomial q with q(t) = m * t**shift * p(t).
@@ -171,31 +164,24 @@ class LaurentPoly:
         Returns ``(coeffs, shift)`` where ``coeffs`` lists q ascending from
         its constant term, ``shift`` is the minimal power of t clearing the
         negative exponents, and m is the least common multiple of the
-        coefficient denominators (a positive integer, not returned).
-        Positive roots are preserved exactly.
+        coefficient denominators (a positive integer, not returned): the
+        stored denominator.  Positive roots are preserved exactly.
         """
-        if not self._coeffs:
+        if not self._num:
             raise DomainError("cannot clear denominators of the zero polynomial")
-        shift = -min(self.min_exp, 0)
-        m = lcm(*(c.denominator for c in self._coeffs.values()))
-        top = self.max_exp + shift
-        out = [0] * (top + 1)
-        for exp, c in self._coeffs.items():
-            scaled = c * m
-            out[exp + shift] = int(scaled)
-        return tuple(out), shift
+        return (0,) * max(self._low, 0) + self._num, -min(self._low, 0)
 
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict[str, str]:
         """JSON object keyed by exponent (ascending), values in p/q form."""
-        return {str(k): format_rational(c) for k, c in self._coeffs.items()}
+        return {str(k): format_rational(c) for k, c in self.items()}
 
     def __repr__(self) -> str:
-        if not self._coeffs:
+        if not self._num:
             return "0"
         parts = []
-        for exp, c in self._coeffs.items():
+        for exp, c in self.items():
             if exp == 0:
                 term = format_rational(c)
             else:
@@ -210,9 +196,19 @@ class LaurentPoly:
         return text
 
 
-def _wrap(data: dict[int, Fraction]) -> LaurentPoly:
+def _make(low: int, num: Sequence[int], den: int) -> LaurentPoly:
+    """t**low * sum(num[i] * t**i) / den, trimmed and in lowest terms with den > 0."""
+    start, stop = 0, len(num)
+    while stop and not num[stop - 1]:
+        stop -= 1
+    while start < stop and not num[start]:
+        start += 1
+    if start == stop:
+        return LaurentPoly()
+    g = gcd(den, *num[start:stop]) if den > 0 else -gcd(den, *num[start:stop])
     poly = LaurentPoly.__new__(LaurentPoly)
-    poly._coeffs = {k: data[k] for k in sorted(data)}
+    # Lists, not generators: tuple(generator) shrinks a tuple onto the free lists.
+    poly._low, poly._num, poly._den = low + start, tuple([c // g for c in num[start:stop]]), den // g
     return poly
 
 

@@ -8,15 +8,9 @@ by case analysis and squaring, never by floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from ..errors import DomainError
-
-Scalar = Union[int, Fraction]
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+from .rationals import Scalar, sign
 
 
 class QuadExtValue:
@@ -35,10 +29,10 @@ class QuadExtValue:
         """Exact sign in {-1, 0, +1}."""
         b = self.b if self.d else Fraction(0)
         if not b:
-            return _sign(self.a)
+            return sign(self.a)
         if not self.a:
-            return _sign(b)
-        sa, sb = _sign(self.a), _sign(b)
+            return sign(b)
+        sa, sb = sign(self.a), sign(b)
         if sa == sb:
             return sa
         lhs, rhs = self.a * self.a, b * b * self.d

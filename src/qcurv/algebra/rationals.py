@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Union
+
+Scalar = Union[int, Fraction]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -25,3 +28,7 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Render a Fraction in the canonical ``p/q`` (or bare ``p``) form."""
     return str(Fraction(value))
+
+
+def sign(x: Scalar) -> int:
+    return (x > 0) - (x < 0)

@@ -47,15 +47,12 @@ from .intpoly import (
     taylor_shift_1,
     trim,
 )
-
-
-def _sign(x: Fraction | int) -> int:
-    return (x > 0) - (x < 0)
+from .rationals import sign
 
 
 def _sign_at(p: Sequence[int], num: int, den: int) -> int:
     """Sign of p(num / den) for den > 0."""
-    return _sign(evaluate(p, num, den))
+    return sign(evaluate(p, num, den))
 
 
 class RootBox:
@@ -135,7 +132,7 @@ class RootBox:
         """Sign of (root - x), decided exactly."""
         x = Fraction(x)
         if self.is_exact:
-            return _sign(self.lo - x)
+            return sign(self.lo - x)
         if x <= self.lo:
             return 1
         if x >= self.hi:
@@ -153,7 +150,7 @@ class RootBox:
         """
         a, b = self._narrow or self, other._narrow or other
         if a.is_exact and b.is_exact:
-            return _sign(a.lo - b.lo)
+            return sign(a.lo - b.lo)
         if a.is_exact:
             return -b.compare_to_rational(a.lo)
         if b.is_exact:

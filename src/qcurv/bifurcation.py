@@ -27,10 +27,10 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Callable, Union
 
-from .algebra.laurent import LaurentPoly
+from .algebra.laurent import LaurentPoly, Scalar
 from .algebra.roots import RootBox, isolate_positive_roots, root_is_simple
 from .errors import DomainError
-from .geometry import Scalar, SubmersionData, curvature_package
+from .geometry import SubmersionData, curvature_package
 
 Window = tuple[Fraction, Union[Fraction, None]]
 
@@ -100,7 +100,9 @@ def find_instants(data: SubmersionData, lam: Scalar) -> list[InstantReport]:
     if residual.is_zero:
         raise DomainError("Jacobi quadratic vanishes identically")
     cleared, _shift = residual.clear_denominators()
-    coincidence, _ = scalar_coincidence_poly(data, lam).clear_denominators()
+    coincidence_poly = scalar_coincidence_poly(data, lam)
+    # A zero polynomial stays (), which vanishes at every root: all instants coincide.
+    coincidence = () if coincidence_poly.is_zero else coincidence_poly.clear_denominators()[0]
     reports = []
     for box in isolate_positive_roots(cleared):
         reports.append(

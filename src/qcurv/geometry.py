@@ -25,12 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
 
-from .algebra.laurent import LaurentPoly
+from .algebra.laurent import LaurentPoly, Scalar
 from .errors import ValidationError
-
-Scalar = Union[int, Fraction]
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,16 @@ def test_scalar_coincidence_poly() -> None:
     assert scalar_coincidence_poly(ROUND_7, 7).evaluate(1) == 0
 
 
+def test_find_instants_when_the_coincidence_polynomial_vanishes() -> None:
+    # zeta = eta = lambda_f = 0 makes scal the constant (n - l) lambda_b = 24,
+    # which is lam (n - 1) at lam = 4; the Jacobi quadratic is a nonzero
+    # constant, so there are no instants to report.
+    data = SubmersionData(7, 3, 0, 0, 0, 6)
+    assert scalar_coincidence_poly(data, 4).is_zero
+    assert not jacobi_residual(data, 4).is_zero
+    assert find_instants(data, 4) == []
+
+
 def test_find_instants_for_lambda_16() -> None:
     reports = find_instants(ROUND_7, 16)
     assert len(reports) == 1
@@ -89,10 +99,15 @@ def test_residual_vanishes_on_refined_boxes() -> None:
             assert abs(jacobi_residual(ROUND_7, lam).evaluate(point)) < Fraction(1, 10**6)
 
 
+def derivative(p: LaurentPoly) -> LaurentPoly:
+    """d/dt, term by term: the t**0 term drops, t**-1 becomes -t**-2."""
+    return LaurentPoly({k - 1: k * c for k, c in p.items() if k})
+
+
 def test_transversality_matches_derivative_sign() -> None:
     pkg = curvature_package(ROUND_7)
     for lam in (7, 16, 40, 96):
-        dres = pkg.alpha.derivative() * lam + pkg.beta.derivative()
+        dres = derivative(pkg.alpha) * lam + derivative(pkg.beta)
         for r in find_instants(ROUND_7, lam):
             box = r.root.refine(Fraction(1, 10**20))
             if box.is_exact:

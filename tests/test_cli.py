@@ -96,6 +96,13 @@ def test_instants_single_eigenvalue(capsys) -> None:
     assert hi - lo <= Fraction(1, 10**12)
 
 
+def test_instants_when_the_coincidence_polynomial_vanishes(capsys) -> None:
+    custom = "n=7,l=3,zeta=0,eta=0,lambda_f=0,lambda_b=6"
+    code, out, err = invoke(capsys, "instants", "--custom", custom, "--lambda", "4")
+    assert code == 0 and not err
+    assert json.loads(out) == []
+
+
 def test_instants_enumeration_with_window(capsys) -> None:
     code, out, _ = invoke(
         capsys, "instants", "--family", "ii", "--eigs", "4", "--window", "1/10:1/5"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +11,8 @@ from qcurv.algebra.rationals import format_rational, parse_rational
 from qcurv.errors import DomainError
 
 coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=40)
-polys = st.dictionaries(st.integers(min_value=-4, max_value=4), coeffs, max_size=6).map(LaurentPoly)
+terms = st.dictionaries(st.integers(min_value=-4, max_value=4), coeffs, max_size=6)
+polys = terms.map(LaurentPoly)
 points = st.fractions(min_value=Fraction(1, 20), max_value=20, max_denominator=30)
 
 
@@ -46,11 +48,6 @@ def test_eval_at_zero() -> None:
     assert LaurentPoly({0: 5, 2: 1}).evaluate(0) == 5
     with pytest.raises(DomainError):
         LaurentPoly({-1: 1}).evaluate(0)
-
-
-def test_derivative_drops_constant_and_handles_negative_exponents() -> None:
-    p = LaurentPoly({-1: 3, 0: 7, 2: Fraction(1, 2)})
-    assert p.derivative() == LaurentPoly({-2: -3, 1: 1})
 
 
 def test_clear_denominators_worked_example() -> None:
@@ -89,10 +86,70 @@ def test_sum_evaluation_identity(p: LaurentPoly, q: LaurentPoly, t: Fraction) ->
     assert (p + q).evaluate(t) == p.evaluate(t) + q.evaluate(t)
 
 
-@given(polys, polys)
-def test_derivative_is_linear_and_leibniz(p: LaurentPoly, q: LaurentPoly) -> None:
-    assert (p + q).derivative() == p.derivative() + q.derivative()
-    assert (p * q).derivative() == p.derivative() * q + p * q.derivative()
+# A dict[int, Fraction] oracle with no zero values, built term by term.
+Terms = dict[int, Fraction]
+
+
+def nonzero(terms: Terms) -> Terms:
+    return {k: Fraction(c) for k, c in sorted(terms.items()) if c}
+
+
+def oracle_add(a: Terms, b: Terms) -> Terms:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return nonzero(out)
+
+
+def oracle_scale(a: Terms, c: Fraction) -> Terms:
+    return nonzero({k: v * c for k, v in a.items()})
+
+
+def oracle_mul(a: Terms, b: Terms) -> Terms:
+    out: Terms = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return nonzero(out)
+
+
+def oracle_cleared(a: Terms) -> tuple[tuple[int, ...], int]:
+    """lcm(coefficient denominators) x coefficients, from exponent min(0, min_exp)."""
+    m = lcm(*(c.denominator for c in a.values()))
+    low = min(0, min(a))
+    return tuple(int(a.get(e, 0) * m) for e in range(low, max(a) + 1)), -low
+
+
+scalars = st.one_of(coeffs, st.integers(min_value=-9, max_value=9)).filter(bool)
+
+
+@given(terms, terms, scalars, st.integers(min_value=0, max_value=3))
+def test_operations_match_dict_oracle(a: Terms, b: Terms, c: Fraction, k: int) -> None:
+    p, q = LaurentPoly(a), LaurentPoly(b)
+    a, b = nonzero(a), nonzero(b)
+    power: Terms = {0: Fraction(1)}
+    for _ in range(k):
+        power = oracle_mul(power, a)
+    cases = [
+        (p, a),
+        (p + q, oracle_add(a, b)),
+        (p - q, oracle_add(a, oracle_scale(b, -1))),
+        (c - p, oracle_add({0: c}, oracle_scale(a, -1))),
+        (p * q, oracle_mul(a, b)),
+        (c * p, oracle_scale(a, c)),
+        (p / c, oracle_scale(a, 1 / Fraction(c))),
+        (p**k, power),
+    ]
+    for poly, want in cases:
+        assert poly.items() == tuple(want.items())
+        assert all(poly.coeff(e) == want.get(e, 0) for e in range(-13, 14))
+        assert poly.is_zero == (not want)
+        if want:
+            assert (poly.min_exp, poly.max_exp) == (min(want), max(want))
+            assert poly.clear_denominators() == oracle_cleared(want)
+        assert poly == LaurentPoly(want) and hash(poly) == hash(LaurentPoly(want))
+    assert (p == q) == (a == b)
+    assert p == LaurentPoly(dict(reversed(list(a.items()))))
 
 
 @given(polys)
