@@ -8,29 +8,31 @@ roots of any multiplicity are isolated; the original polynomial is kept
 on the box because multiplicity questions (simplicity, common roots
 with another polynomial) are asked about it, not about the radical.
 
-The search and the bisections carry integer numerators over a power
-of two: the search works on [0, 2**b] and each later step halves an
-interval.  The sign of p at num / den (den > 0) is the sign of the
-integer den**deg(p) p(num / den), so box checks, comparisons with a
-rational and refinement evaluate in integers, dyadic or not.
-Fractions appear only at the box boundary: ``lo``, ``hi``, widths and
-the argument of ``compare_to_rational``.
+A box holds integer endpoint numerators over one positive denominator,
+a power of two for every box made here: the search works on [0, 2**b]
+and each later step halves an interval.  The sign of p at num / den
+(den > 0) is the sign of the integer den**deg(p) p(num / den), so box
+checks, comparisons and refinement evaluate in integers, and a box made
+by halving takes its parent's sign at the left end instead of evaluating
+it again.  Fractions appear only at the box boundary: the constructor,
+``lo``, ``hi``, ``width`` and the argument of ``compare_to_rational``.
 
 Boxes are immutable to their users.  Refinement returns a new, narrower
 box; a bisection point that happens to hit the root exactly collapses
-the box to width zero.  ``compare`` keeps, in a private slot, the
-narrowest sub-box it has found for each box and starts the next
-comparison from there; refinement starts there too, with the same result.
+the box to width zero.  ``compare`` and the instant sweep in
+``bifurcation`` quarter a box's private sub-box ``_narrow`` and start
+there the next time; it is a node of the box's own bisection tree, so
+refinement starts there too, with the same result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from ..errors import DomainError
 from .intpoly import (
+    Poly,
     cauchy_root_bound_pow2,
     count_roots_halfopen,
     degree,
@@ -60,120 +62,114 @@ class RootBox:
 
     Width zero means the root is the rational number lo == hi.  For a
     box of positive width the squarefree part of ``poly`` changes sign
-    across the interval and neither endpoint is a root.
+    across the interval and neither endpoint is a root.  The endpoints
+    are ``_lo / _den`` and ``_hi / _den``, integers with ``_den > 0``.
     """
 
-    __slots__ = ("poly", "lo", "hi", "_sqfree", "_sign_lo", "_narrow")
+    __slots__ = ("poly", "_lo", "_hi", "_den", "_sqfree", "_sign_lo", "_narrow")
 
-    def __init__(
-        self,
-        poly: Sequence[int],
-        lo: Fraction,
-        hi: Fraction,
-        _sqfree: tuple[int, ...] | None = None,
-    ):
-        self.poly = trim(poly)
-        self.lo = Fraction(lo)
-        self.hi = Fraction(hi)
-        if not self.poly:
+    def __init__(self, poly: Sequence[int], lo: Fraction | int, hi: Fraction | int):
+        poly = trim(poly)
+        lo, hi = Fraction(lo), Fraction(hi)
+        if not poly:
             raise DomainError("root box needs a nonzero polynomial")
-        if self.lo > self.hi:
+        if lo > hi:
             raise DomainError("root box interval is reversed")
-        self._sqfree = _sqfree if _sqfree is not None else squarefree_part(self.poly)
-        # The narrowest sub-box found by compare; None until it refines this box.
-        self._narrow: RootBox | None = None
-        if self.lo == self.hi:
-            if _sign_at(self.poly, self.lo.numerator, self.lo.denominator):
-                raise DomainError("exact root box endpoint is not a root")
-            self._sign_lo = 0
-        else:
-            s_lo = _sign_at(self._sqfree, self.lo.numerator, self.lo.denominator)
-            s_hi = _sign_at(self._sqfree, self.hi.numerator, self.hi.denominator)
-            if s_lo * s_hi >= 0:
-                raise DomainError("root box does not bracket a sign change")
-            self._sign_lo = s_lo
+        sqfree = squarefree_part(poly)
+        den = lo.denominator * hi.denominator
+        lo_num, hi_num = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+        sign_lo = _sign_at(sqfree, lo_num, den)  # poly and sqfree share their roots
+        if lo == hi and sign_lo:
+            raise DomainError("exact root box endpoint is not a root")
+        if lo < hi and sign_lo * _sign_at(sqfree, hi_num, den) >= 0:
+            raise DomainError("root box does not bracket a sign change")
+        self.poly, self._sqfree, self._sign_lo = poly, sqfree, sign_lo
+        self._lo, self._hi, self._den, self._narrow = lo_num, hi_num, den, None
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self._lo, self._den)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self._hi, self._den)
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self._hi - self._lo, self._den)
 
     @property
     def is_exact(self) -> bool:
-        return self.lo == self.hi
+        return self._lo == self._hi
 
-    def refine(self, width: Fraction | int | str) -> "RootBox":
-        """Shrink the box to at most the requested width by bisection."""
-        target = Fraction(width)
-        if target <= 0:
-            raise DomainError("refinement width must be positive")
-        if self.is_exact:
-            return self
-        # compare's sub-box is a node of the same bisection tree: the same result.
-        if self._narrow is not None and self._narrow.width > target:
-            return self._narrow.refine(target)
-        # lo / den and hi / den; den doubles at every bisection, so it stays
-        # a power of two when the endpoints are dyadic.
-        den = lcm(self.lo.denominator, self.hi.denominator)
-        lo = self.lo.numerator * (den // self.lo.denominator)
-        hi = self.hi.numerator * (den // self.hi.denominator)
-        while (hi - lo) * target.denominator > target.numerator * den:
+    def _bisect(self, num: int, den: int) -> "RootBox":
+        """Bisect to width at most num / den, or until a bisection point is the root."""
+        lo, hi, d = self._lo, self._hi, self._den
+        while (hi - lo) * den > num * d:
             mid = lo + hi
-            lo, hi, den = 2 * lo, 2 * hi, 2 * den
-            s = _sign_at(self._sqfree, mid, den)
+            lo, hi, d = 2 * lo, 2 * hi, 2 * d
+            s = _sign_at(self._sqfree, mid, d)
             if not s:
-                return RootBox(self.poly, Fraction(mid, den), Fraction(mid, den), self._sqfree)
+                return _box(self.poly, self._sqfree, mid, mid, d, 0)
             if s == self._sign_lo:
                 lo = mid
             else:
                 hi = mid
-        return RootBox(self.poly, Fraction(lo, den), Fraction(hi, den), self._sqfree)
+        return _box(self.poly, self._sqfree, lo, hi, d, self._sign_lo)
+
+    def _quarter(self) -> "RootBox":
+        """Narrow the kept sub-box by two bisections (none if exact); return it."""
+        box = self._narrow or self
+        self._narrow = box._bisect(box._hi - box._lo, 4 * box._den)
+        return self._narrow
+
+    def refine(self, width: Fraction | int | str) -> "RootBox":
+        """Shrink the box to at most the requested width by bisection."""
+        target = Fraction(width)
+        num, den = target.numerator, target.denominator
+        if num <= 0:
+            raise DomainError("refinement width must be positive")
+        # Same bisection tree: start at the kept sub-box unless a fresh box stops above it.
+        box = self._narrow or self
+        if (box._hi - box._lo) * den <= num * box._den:
+            box = self
+        return box._bisect(num, den)
 
     def compare_to_rational(self, x: Fraction | int) -> int:
         """Sign of (root - x), decided exactly."""
         x = Fraction(x)
-        if self.is_exact:
-            return sign(self.lo - x)
-        if x <= self.lo:
-            return 1
-        if x >= self.hi:
-            return -1
-        s = _sign_at(self._sqfree, x.numerator, x.denominator)
-        if not s:
-            return 0
-        return 1 if s == self._sign_lo else -1
+        num, den = x.numerator, x.denominator
+        if not self._lo * den < num * self._den < self._hi * den:
+            # x is not inside the open box, or the box is the root itself.
+            return sign((self._lo + self._hi) * den - 2 * num * self._den)
+        # Left of the root the squarefree part has its sign at lo.
+        return _sign_at(self._sqfree, num, den) * self._sign_lo
 
     def compare(self, other: "RootBox") -> int:
         """Total order on the isolated roots (0 when they coincide).
 
-        Each side starts from the narrowest sub-box an earlier comparison
-        found for it, and the sub-boxes found here are kept for the next.
+        Each side starts from its kept sub-box and keeps the narrower one found here.
         """
         a, b = self._narrow or self, other._narrow or other
-        if a.is_exact and b.is_exact:
-            return sign(a.lo - b.lo)
-        if a.is_exact:
-            return -b.compare_to_rational(a.lo)
-        if b.is_exact:
-            return a.compare_to_rational(b.lo)
-        if a.hi <= b.lo:
-            return -1
-        if b.hi <= a.lo:
-            return 1
-        # The boxes overlap.  Each holds one root and no root at an endpoint,
-        # so a root of the gcd inside both is the root of each.
-        common = poly_gcd(self.poly, other.poly)
-        if degree(common) >= 1:
-            if count_roots_halfopen(common, max(a.lo, b.lo), min(a.hi, b.hi)):
-                return 0
+        common = None
         while True:
-            a = self._narrow = a.refine(a.width / 4)
-            b = other._narrow = b.refine(b.width / 4)
-            if a.is_exact or b.is_exact:
-                return a.compare(b)
-            if a.hi <= b.lo:
+            if a.is_exact:
+                return -b.compare_to_rational(a.lo)
+            if b.is_exact:
+                return a.compare_to_rational(b.lo)
+            if a._hi * b._den <= b._lo * a._den:
                 return -1
-            if b.hi <= a.lo:
+            if b._hi * a._den <= a._lo * b._den:
                 return 1
+            if common is None:
+                # The boxes overlap.  Each holds one root and no root at an
+                # endpoint, so a root of the gcd inside both is the root of each.
+                common = poly_gcd(self.poly, other.poly)
+                if degree(common) >= 1 and count_roots_halfopen(
+                    common, max(a.lo, b.lo), min(a.hi, b.hi)
+                ):
+                    return 0
+            a, b = self._quarter(), other._quarter()
 
     def vanishes_at_root(self, g: Sequence[int]) -> bool:
         """Whether the polynomial g has a zero at this box's root."""
@@ -181,11 +177,9 @@ class RootBox:
         if not g:
             return True
         if self.is_exact:
-            return not _sign_at(g, self.lo.numerator, self.lo.denominator)
+            return not _sign_at(g, self._lo, self._den)
         h = poly_gcd(self.poly, g)
-        if degree(h) < 1:
-            return False
-        return count_roots_halfopen(h, self.lo, self.hi) > 0
+        return degree(h) >= 1 and count_roots_halfopen(h, self.lo, self.hi) > 0
 
     def to_json(self) -> list[str]:
         return [str(self.lo), str(self.hi)]
@@ -194,6 +188,14 @@ class RootBox:
         if self.is_exact:
             return f"RootBox(root={self.lo})"
         return f"RootBox(({self.lo}, {self.hi}))"
+
+
+def _box(poly: Poly, sqfree: Poly, lo: int, hi: int, den: int, sign_lo: int) -> RootBox:
+    """The box (lo / den, hi / den) of poly, its bracket and sqfree's sign at lo known."""
+    box = object.__new__(RootBox)
+    box.poly, box._sqfree, box._sign_lo = poly, sqfree, sign_lo
+    box._lo, box._hi, box._den, box._narrow = lo, hi, den, None
+    return box
 
 
 def root_is_simple(box: RootBox) -> bool:
@@ -216,14 +218,13 @@ def isolate_positive_roots(coeffs: Sequence[int]) -> list[RootBox]:
     _descartes_split(primitive(monomial_substitute(sf, bound)), 0, 0, intervals)
     # Attach sf, not squarefree_part(p): a factor t**k in p would make the
     # whole-polynomial radical vanish at a box endpoint lo == 0.
-    boxes = []
-    for lo, hi, k in intervals:
-        lo, hi, den = _settle_endpoints(sf, lo * bound, hi * bound, 1 << k)
-        boxes.append(RootBox(p, Fraction(lo, den), Fraction(hi, den), sf))
-    return boxes
+    return [
+        _box(p, sf, *_settle_endpoints(sf, lo * bound, hi * bound, 1 << k))
+        for lo, hi, k in intervals
+    ]
 
 
-def _settle_endpoints(sf: tuple[int, ...], lo: int, hi: int, den: int) -> tuple[int, int, int]:
+def _settle_endpoints(sf: Poly, lo: int, hi: int, den: int) -> tuple[int, ...]:
     """Shrink (lo / den, hi / den) until neither endpoint is a root of sf.
 
     The splitter guarantees exactly one root of sf strictly inside, but a
@@ -231,6 +232,7 @@ def _settle_endpoints(sf: tuple[int, ...], lo: int, hi: int, den: int) -> tuple[
     toward the interior root removes it while keeping the bracket; just
     right of a root of the squarefree sf, sf has the sign of sf' there.
     A width-zero interval is a root and comes back with the same value.
+    Returns (lo, hi, den, sign of sf at lo), the sign 0 for a root.
     """
     s_lo, s_hi = _sign_at(sf, lo, den), _sign_at(sf, hi, den)
     right_of_lo = s_lo or _sign_at(derivative(sf), lo, den)
@@ -239,17 +241,15 @@ def _settle_endpoints(sf: tuple[int, ...], lo: int, hi: int, den: int) -> tuple[
         lo, hi, den = 2 * lo, 2 * hi, 2 * den
         s = _sign_at(sf, mid, den)
         if not s:
-            return mid, mid, den
+            return mid, mid, den, 0
         if s == right_of_lo:
             lo, s_lo = mid, s
         else:
             hi, s_hi = mid, s
-    return lo, hi, den
+    return lo, hi, den, s_lo
 
 
-def _descartes_split(
-    r: tuple[int, ...], c: int, k: int, out: list[tuple[int, int, int]]
-) -> None:
+def _descartes_split(r: Poly, c: int, k: int, out: list[tuple[int, int, int]]) -> None:
     """Recursive Descartes test for a squarefree r on (c / 2**k, (c + 1) / 2**k).
 
     r is the polynomial in local coordinates, the interval mapped to

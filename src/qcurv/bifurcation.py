@@ -18,13 +18,20 @@ Everything is exact: roots are held in isolating boxes, and both the
 transversality and the scalar-coincidence decisions are algebraic,
 never numerical.  The curvature package is cached in ``geometry``: it
 is built once per datum, not once per eigenvalue.
+
+``enumerate_instants`` orders the instants of many eigenvalues with a
+separating sweep over the integer dyadic boxes of ``algebra.roots``
+rather than a comparison sort: overlapping boxes are quartered until
+they separate, and only pairs reach the exact ``RootBox.compare``.  At
+a fixed t the Jacobi quadratic has at most two roots lambda, so at most
+two distinct eigenvalues share an instant and the sweep terminates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from math import lcm
 from typing import Callable, Union
 
 from .algebra.laurent import LaurentPoly, Scalar
@@ -126,9 +133,11 @@ def enumerate_instants(
 
     The window is an open interval (lo, hi) with hi = None meaning
     +infinity; membership of each algebraic root is decided exactly.
-    Results are sorted by instant (exact comparison of roots), then by
-    eigenvalue.  No attempt is made to certify which instants belong to
-    an accumulating sequence; the asymptotic classifiers answer that.
+    Results are ordered by instant (exact comparison of roots), then by
+    eigenvalue; see ``_by_instant``.  The eigenvalues must increase
+    strictly, or DomainError is raised.  No attempt is made to certify
+    which instants belong to an accumulating sequence; the asymptotic
+    classifiers answer that.
     """
     lo, hi = window
     lo = Fraction(lo)
@@ -137,19 +146,68 @@ def enumerate_instants(
         if hi <= lo:
             return []
     collected = []
+    previous = Fraction(0)
     for k in range(1, max_eigs + 1):
-        for report in find_instants(data, spectrum.eigenvalue(k)):
+        lam = spectrum.eigenvalue(k)
+        if k > 1 and lam <= previous:
+            raise DomainError(f"eigenvalue {k} is {lam}, not above eigenvalue {k - 1}: {previous}")
+        previous = lam
+        for report in find_instants(data, lam):
             if report.root.compare_to_rational(lo) <= 0:
                 continue
             if hi is not None and report.root.compare_to_rational(hi) >= 0:
                 continue
             collected.append(report)
+    return _by_instant(collected)
 
-    def order(r1: InstantReport, r2: InstantReport) -> int:
-        by_root = r1.root.compare(r2.root)
-        if by_root:
-            return by_root
-        return (r1.lam > r2.lam) - (r1.lam < r2.lam)
 
-    collected.sort(key=cmp_to_key(order))
-    return collected
+def _by_instant(reports: list[InstantReport]) -> list[InstantReport]:
+    """The reports ordered by instant, then by eigenvalue: a separating sweep.
+
+    The reports are sorted by the key (lo, hi, lambda) of their boxes and
+    cut into clusters of boxes that overlap strictly; boxes that only
+    touch at an endpoint are already in order.  A cluster of three or
+    more has every member of nonzero width quartered and is swept again.
+    A cluster of two is ordered by the exact ``RootBox.compare``, which
+    also detects a shared root, and then by lambda.
+
+    This ends because at a fixed t the Jacobi quadratic has at most two
+    roots lambda: at most two distinct eigenvalues share an instant, so
+    only pairs can stay unseparated while the boxes shrink.  Quartered
+    boxes are kept on each root (``RootBox._narrow``), where ``compare``
+    and display refinement continue from them.
+    """
+    ordered: list[InstantReport] = []
+    pending = _clusters(reports)[::-1]
+    while pending:
+        cluster = pending.pop()
+        if len(cluster) == 1:
+            ordered += cluster
+        elif len(cluster) == 2:
+            first, second = cluster
+            by_root = first.root.compare(second.root)
+            swap = by_root > 0 or (by_root == 0 and first.lam > second.lam)
+            ordered += [second, first] if swap else cluster
+        else:
+            for report in cluster:
+                report.root._quarter()
+            pending += _clusters(cluster)[::-1]
+    return ordered
+
+
+def _clusters(reports: list[InstantReport]) -> list[list[InstantReport]]:
+    """Reports sorted by (lo, hi, lambda), cut where their boxes stop overlapping."""
+    boxes = [report.root._narrow or report.root for report in reports]
+    den = lcm(*(box._den for box in boxes))
+    keys = sorted(
+        (box._lo * (den // box._den), box._hi * (den // box._den), report.lam, i)
+        for i, (report, box) in enumerate(zip(reports, boxes))
+    )
+    clusters: list[list[InstantReport]] = []
+    for lo, hi, _lam, i in keys:
+        if not clusters or lo >= reach:
+            clusters.append([])
+            reach = hi
+        clusters[-1].append(reports[i])
+        reach = max(reach, hi)
+    return clusters

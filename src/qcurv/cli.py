@@ -28,10 +28,19 @@ from .algebra.rationals import parse_rational
 from .errors import DomainError, ValidationError
 
 _DISPLAY_WIDTH = Fraction(1, 10**12)
+# Ceilings on the size arguments: a mistyped huge value is a usage error,
+# not a run that never ends.  A run at either ceiling takes seconds.
+MAX_Q = 10_000
+MAX_EIGS = 10_000
 
 
 class UsageError(Exception):
     pass
+
+
+def _check_range(flag: str, value: int, low: int, high: int) -> None:
+    if not low <= value <= high:
+        raise UsageError(f"{flag} must be between {low} and {high}, got {value}")
 
 
 def _parse_window(text: str) -> tuple[Fraction, Fraction | None]:
@@ -124,8 +133,7 @@ def _cmd_instants(args: argparse.Namespace) -> int:
     else:
         if fam is None:
             raise UsageError("--eigs needs --family (no spectrum for custom data)")
-        if args.eigs < 1:
-            raise UsageError("--eigs must be at least 1")
+        _check_range("--eigs", args.eigs, 1, MAX_EIGS)
         window = _parse_window(args.window) if args.window else (Fraction(0), None)
         reports = bifurcation.enumerate_instants(
             data, catalog.base_spectrum(fam), window, args.eigs
@@ -143,8 +151,7 @@ def _yesno(flag: bool) -> str:
 
 
 def _cmd_theorem_a(args: argparse.Namespace) -> int:
-    if args.q_max < 2:
-        raise UsageError("--q-max must be at least 2")
+    _check_range("--q-max", args.q_max, 2, MAX_Q)
     rows = catalog.theorem_a_table(args.q_max)
     if args.json:
         print(json.dumps([row.to_json() for row in rows], indent=2))
@@ -168,8 +175,7 @@ def _cmd_theorem_a(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_appendix(args: argparse.Namespace) -> int:
-    if args.q_max < 2:
-        raise UsageError("--q-max must be at least 2")
+    _check_range("--q-max", args.q_max, 2, MAX_Q)
     failures: list[str] = []
     checked = 0
     for fam in catalog.members(args.q_max):
@@ -260,17 +266,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_inst = sub.add_parser("instants", help="locate degenerate instants")
     _add_data_arguments(p_inst)
     p_inst.add_argument("--lambda", dest="lam", metavar="p/q", help="single eigenvalue")
-    p_inst.add_argument("--eigs", type=int, help="enumerate the first K base eigenvalues")
+    p_inst.add_argument(
+        "--eigs",
+        type=int,
+        metavar="K",
+        help=f"enumerate the first K base eigenvalues, 1 to {MAX_EIGS}",
+    )
     p_inst.add_argument("--window", metavar="lo:hi", help="open window for --eigs (hi may be inf)")
     p_inst.set_defaults(handler=_cmd_instants)
 
     p_thm = sub.add_parser("theorem-a", help="reproduce the classification table")
-    p_thm.add_argument("--q-max", type=int, required=True)
+    p_thm.add_argument("--q-max", type=int, required=True, help=f"largest q, 2 to {MAX_Q}")
     p_thm.add_argument("--json", action="store_true", help="emit JSON instead of markdown")
     p_thm.set_defaults(handler=_cmd_theorem_a)
 
     p_ver = sub.add_parser("verify-appendix", help="check derived formulas against the displays")
-    p_ver.add_argument("--q-max", type=int, required=True)
+    p_ver.add_argument("--q-max", type=int, required=True, help=f"largest q, 2 to {MAX_Q}")
     p_ver.set_defaults(handler=_cmd_verify_appendix)
 
     p_asym = sub.add_parser("asymptotics", help="accumulation verdicts for one datum")

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from qcurv import catalog
 from qcurv.algebra.laurent import LaurentPoly
+from qcurv.algebra.roots import RootBox
 from qcurv.bifurcation import (
+    InstantReport,
     Spectrum,
+    _by_instant,
     enumerate_instants,
     find_instants,
     jacobi_residual,
@@ -218,3 +223,105 @@ def test_eigenbranch_sum_and_product(data: SubmersionData, t: Fraction) -> None:
         # part and its sqrt(d) part; both must vanish.
         assert Fraction(1, 2) * (p * p + r * r * d) + a * p + b == 0
         assert r * (p + a) == 0
+
+
+def compared_order(
+    data: SubmersionData, spectrum: Spectrum, max_eigs: int
+) -> list[InstantReport]:
+    """The order by a comparison sort of fresh boxes: the sweep's oracle."""
+    reports = [
+        report
+        for k in range(1, max_eigs + 1)
+        for report in find_instants(data, spectrum.eigenvalue(k))
+    ]
+
+    def order(r1: InstantReport, r2: InstantReport) -> int:
+        by_root = r1.root.compare(r2.root)
+        if by_root:
+            return by_root
+        return (r1.lam > r2.lam) - (r1.lam < r2.lam)
+
+    return sorted(reports, key=cmp_to_key(order))
+
+
+def shown(reports: list[InstantReport]) -> list[tuple]:
+    """Eigenvalue, isolating box and displayed box of each report, in order."""
+    return [
+        (r.lam, r.root.to_json(), r.root.refine(Fraction(1, 10**12)).to_json()) for r in reports
+    ]
+
+
+@pytest.mark.parametrize("fam", list(catalog.members(10)), ids=str)
+def test_sweep_matches_the_comparison_sort_on_the_catalogue(fam: catalog.HopfFamily) -> None:
+    data, spectrum = catalog.hopf_data(fam), catalog.base_spectrum(fam)
+    swept = enumerate_instants(data, spectrum, max_eigs=40)
+    assert shown(swept) == shown(compared_order(data, spectrum, 40))
+
+
+spectra = st.lists(
+    st.fractions(min_value=Fraction(1, 12), max_value=60, max_denominator=12),
+    min_size=1,
+    max_size=8,
+    unique=True,
+).map(sorted)
+
+
+@settings(max_examples=40, deadline=None)
+@given(datas, spectra)
+def test_sweep_matches_the_comparison_sort_on_custom_data(
+    data: SubmersionData, eigenvalues: list[Fraction]
+) -> None:
+    assume(not any(jacobi_residual(data, lam).is_zero for lam in eigenvalues))
+    spectrum = Spectrum(lambda k: eigenvalues[k - 1])
+    swept = enumerate_instants(data, spectrum, max_eigs=len(eigenvalues))
+    assert shown(swept) == shown(compared_order(data, spectrum, len(eigenvalues)))
+
+
+def test_sweep_orders_a_shared_instant_by_eigenvalue() -> None:
+    # All five isolating boxes are (0, 8); t = 24/5 is an instant of both
+    # 1/72 and 47/144, so only compare's shared-root test can order them.
+    data = SubmersionData(5, 4, 0, 0, 1, 1)
+    eigenvalues = [Fraction(x) for x in ("1/100", "1/72", "1/5", "47/144", "1/3")]
+    spectrum = Spectrum(lambda k: eigenvalues[k - 1])
+    swept = enumerate_instants(data, spectrum, max_eigs=5)
+    assert [str(r.lam) for r in swept] == ["1/3", "1/100", "1/72", "47/144", "1/5"]
+    assert [r.root.compare_to_rational(Fraction(24, 5)) for r in swept] == [-1, -1, 0, 0, 1]
+    assert shown(swept) == shown(compared_order(data, spectrum, 5))
+
+
+def test_sweep_breaks_a_shared_root_tie_by_eigenvalue_not_by_box() -> None:
+    # sqrt(2) in (1, 2) for the smaller eigenvalue and in (1/2, 2) for the
+    # larger one: the larger one's box sorts first, and only the eigenvalue
+    # puts it second.
+    small = InstantReport(Fraction(1), RootBox((-2, 0, 1), 1, 2), True, True)
+    large = InstantReport(Fraction(2), RootBox((6, -2, -3, 1), Fraction(1, 2), 2), True, True)
+    assert _by_instant([small, large]) == _by_instant([large, small]) == [small, large]
+
+
+@pytest.mark.parametrize(
+    "fam, lam, instant",
+    [(catalog.HopfFamily("i", 7), 576, 144), (catalog.HopfFamily("i", 10), 44, 286)],
+    ids=str,
+)
+def test_sweep_keeps_exact_rational_instants(
+    fam: catalog.HopfFamily, lam: int, instant: int
+) -> None:
+    data, spectrum = catalog.hopf_data(fam), catalog.base_spectrum(fam)
+    swept = enumerate_instants(data, spectrum, max_eigs=40)
+    hits = [r for r in swept if r.root.compare_to_rational(instant) == 0]
+    assert [r.lam for r in hits] == [lam]
+    assert hits[0].root.refine(Fraction(1, 10**12)).to_json() == [str(instant)] * 2
+
+
+@pytest.mark.parametrize(
+    "eigenvalues, bad", [([16, 40, 40], 3), ([16, 72, 40], 3), ([40, 40, 40], 2)], ids=str
+)
+def test_enumerate_instants_needs_strictly_increasing_eigenvalues(
+    eigenvalues: list[int], bad: int
+) -> None:
+    # Three equal eigenvalues would give three identical boxes that no
+    # quartering separates.
+    spectrum = Spectrum(lambda k: eigenvalues[k - 1])
+    with pytest.raises(DomainError, match=f"eigenvalue {bad} "):
+        enumerate_instants(ROUND_7, spectrum, max_eigs=3)
+    assert enumerate_instants(ROUND_7, spectrum, max_eigs=bad - 1)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from qcurv import catalog
-from qcurv.cli import run
+from qcurv.cli import MAX_EIGS, MAX_Q, run
 from qcurv.geometry import SubmersionData, curvature_package
 
 CUSTOM_7 = "n=7,l=3,zeta=3,eta=4,lambda_f=2,lambda_b=12"
@@ -72,6 +72,37 @@ def test_usage_errors_exit_2(capsys, argv: tuple[str, ...]) -> None:
     code, _out, err = invoke(capsys, *argv)
     assert code == 2
     assert err.startswith(("error:", "invalid input:", "usage:"))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("theorem-a", "--q-max", "99999999999999999999999"),
+            f"--q-max must be between 2 and {MAX_Q}, got 99999999999999999999999",
+        ),
+        (
+            ("verify-appendix", "--q-max", str(MAX_Q + 1)),
+            f"--q-max must be between 2 and {MAX_Q}, got {MAX_Q + 1}",
+        ),
+        (
+            ("instants", "--family", "iv", "--eigs", str(MAX_EIGS + 1)),
+            f"--eigs must be between 1 and {MAX_EIGS}, got {MAX_EIGS + 1}",
+        ),
+    ],
+)
+def test_size_arguments_above_their_ceiling_exit_2(capsys, argv, message: str) -> None:
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, ceiling", [("theorem-a", MAX_Q), ("verify-appendix", MAX_Q), ("instants", MAX_EIGS)]
+)
+def test_help_states_the_ceilings(capsys, command: str, ceiling: int) -> None:
+    assert run([command, "--help"]) == 0
+    assert f"to {ceiling}" in capsys.readouterr().out
 
 
 def test_invalid_custom_data_reports_violations(capsys) -> None:

@@ -14,6 +14,8 @@ from qcurv.algebra.intpoly import (
     trim,
 )
 from qcurv.algebra.roots import RootBox, isolate_positive_roots, root_is_simple
+from qcurv.bifurcation import enumerate_instants
+from qcurv.catalog import HopfFamily, base_spectrum, hopf_data
 
 
 def conv(a: list[int], b: list[int]) -> list[int]:
@@ -354,10 +356,27 @@ def test_refine_after_comparisons_matches_a_fresh_box(drawn: list, warm_up: list
     for i, j in warm_up:  # narrows the boxes in an order hypothesis picks
         items[i % n].compare(items[j % n])
     for box in items:
-        if box.is_exact:
-            continue
-        narrowed = (box._narrow or box).width or box.width
-        # Targets above the narrowed width, on it and below it.
-        for scale in (4, 2, 1, Fraction(3, 4), Fraction(1, 2**20)):
-            tight, direct = box.refine(narrowed * scale), fresh(box).refine(narrowed * scale)
-            assert (tight.lo, tight.hi) == (direct.lo, direct.hi)
+        assert_refines_like_a_fresh_box(box)
+
+
+def assert_refines_like_a_fresh_box(box: RootBox) -> None:
+    """refine gives what it gives on the same box with nothing kept from earlier narrowing."""
+    if box.is_exact:
+        return
+    narrowed = (box._narrow or box).width or box.width
+    # Targets above the narrowed width, on it and below it.
+    for scale in (4, 2, 1, Fraction(3, 4), Fraction(1, 2**20)):
+        tight, direct = box.refine(narrowed * scale), fresh(box).refine(narrowed * scale)
+        assert (tight.lo, tight.hi) == (direct.lo, direct.hi)
+
+
+SWEPT = [HopfFamily("i", 10), HopfFamily("ii", 3), HopfFamily("iii", 9), HopfFamily("iv")]
+
+
+@pytest.mark.parametrize("fam", SWEPT, ids=str)
+def test_refine_after_the_instant_sweep_matches_a_fresh_box(fam: HopfFamily) -> None:
+    reports = enumerate_instants(hopf_data(fam), base_spectrum(fam), max_eigs=40)
+    narrowed = [r.root for r in reports if r.root._narrow is not None]
+    assert narrowed  # the sweep quartered some of the boxes
+    for box in narrowed:
+        assert_refines_like_a_fresh_box(box)
