@@ -5,8 +5,9 @@ A polynomial is integer numerators over one positive denominator:
 either end of ``num`` and gcd(den, *num) == 1, so equal polynomials have
 equal triples.  The curvature quantities of a canonical variation live
 in Z[t, 1/t] tensored with Q, so this is the workhorse type of the
-package.  Ring operations align, convolve and rescale integers;
-``Fraction`` appears only at the boundary.  Values are immutable.
+package.  Ring operations align, convolve and rescale integers, and a
+scalar operand only rescales; ``Fraction`` appears only at the boundary.
+Values are immutable.
 """
 
 from __future__ import annotations
@@ -44,11 +45,14 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, value: Scalar) -> "LaurentPoly":
-        return cls({0: value})
+        return cls.t_power(0, value)
 
     @classmethod
     def t_power(cls, exp: int, coeff: Scalar = 1) -> "LaurentPoly":
-        return cls({exp: coeff})
+        if not isinstance(exp, int):
+            raise TypeError(f"exponent must be an int, got {exp!r}")
+        c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
+        return _make(exp, [c.numerator], c.denominator)
 
     def coeff(self, exp: int) -> Fraction:
         i = exp - self._low
@@ -104,6 +108,8 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
+        if isinstance(other, (int, Fraction)):
+            return _make(self._low, [c * other.numerator for c in self._num], self._den * other.denominator)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -117,7 +123,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Scalar) -> "LaurentPoly":
-        c = Fraction(scalar)
+        c = scalar if isinstance(scalar, (int, Fraction)) else Fraction(scalar)
         if not c:
             raise ZeroDivisionError("division of a Laurent polynomial by zero")
         return _make(self._low, [x * c.denominator for x in self._num], self._den * c.numerator)
@@ -125,8 +131,8 @@ class LaurentPoly:
     def __pow__(self, exponent: int) -> "LaurentPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise DomainError("only nonnegative integer powers are supported")
-        result = LaurentPoly.const(1)
-        for _ in range(exponent):
+        result = self if exponent else LaurentPoly.const(1)
+        for _ in range(exponent - 1):
             result = result * self
         return result
 
@@ -146,15 +152,17 @@ class LaurentPoly:
 
     def evaluate(self, t: Scalar) -> Fraction:
         """Exact value at a rational point; t = 0 needs no negative exponents."""
-        t = Fraction(t)
+        if not isinstance(t, (int, Fraction)):
+            t = Fraction(t)
         if not (t and self._num):
             if self._low < 0:
                 raise DomainError("evaluation at 0 with negative exponents present")
             return self.coeff(0)
-        # The value is t**low * P(t) / den, P the numerators; intpoly gives q**deg(P) * P(p / q).
+        # t = p / q: the value is p**low * q**deg(P) * P(p / q) / (den * q**high), P the numerators.
         p, q = t.numerator, t.denominator
-        value = Fraction(intpoly.evaluate(self._num, p, q), self._den * q ** (len(self._num) - 1))
-        return value * t**self._low if self._low else value
+        low, high = self._low, self._low + len(self._num) - 1
+        top = intpoly.evaluate(self._num, p, q) * p ** max(low, 0) * q ** max(-high, 0)
+        return Fraction(top, self._den * q ** max(high, 0) * p ** max(-low, 0))
 
     __call__ = evaluate
 
@@ -203,12 +211,12 @@ def _make(low: int, num: Sequence[int], den: int) -> LaurentPoly:
         stop -= 1
     while start < stop and not num[start]:
         start += 1
-    if start == stop:
-        return LaurentPoly()
     g = gcd(den, *num[start:stop]) if den > 0 else -gcd(den, *num[start:stop])
     poly = LaurentPoly.__new__(LaurentPoly)
     # Lists, not generators: tuple(generator) shrinks a tuple onto the free lists.
-    poly._low, poly._num, poly._den = low + start, tuple([c // g for c in num[start:stop]]), den // g
+    poly._num, poly._den = tuple([c // g for c in num[start:stop]]), den // g
+    # With no numerator left g == den, and the zero polynomial is (0, (), 1).
+    poly._low = low + start if poly._num else 0
     return poly
 
 
@@ -216,5 +224,5 @@ def _coerce(value: object) -> LaurentPoly:
     if isinstance(value, LaurentPoly):
         return value
     if isinstance(value, (int, Fraction)):
-        return LaurentPoly.const(value)
+        return _make(0, [value.numerator], value.denominator)
     return NotImplemented

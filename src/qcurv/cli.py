@@ -29,9 +29,10 @@ from .errors import DomainError, ValidationError
 
 _DISPLAY_WIDTH = Fraction(1, 10**12)
 # Ceilings on the size arguments: a mistyped huge value is a usage error,
-# not a run that never ends.  A run at either ceiling takes seconds.
+# not a run that never ends.  A run at any ceiling takes seconds.
 MAX_Q = 10_000
 MAX_EIGS = 10_000
+MAX_STEPS = 100_000
 
 
 class UsageError(Exception):
@@ -91,13 +92,14 @@ def _select_data(args: argparse.Namespace) -> tuple[geometry.SubmersionData, cat
     if not args.family:
         raise UsageError("select input with --family or --custom")
     q = args.q if args.q is not None else 1
+    _check_range("--q", q, 1, MAX_Q)
     fam = catalog.HopfFamily(args.family, q)
     return catalog.hopf_data(fam), fam
 
 
 def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--family", choices=catalog.FAMILIES, help="catalogued fibration family")
-    parser.add_argument("--q", type=int, default=None, help="family parameter")
+    parser.add_argument("--q", type=int, default=None, help=f"family parameter, 1 to {MAX_Q}")
     parser.add_argument(
         "--custom",
         metavar="n=..,l=..,zeta=..,eta=..,lambda_f=..,lambda_b=..",
@@ -227,8 +229,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     lo, hi = parse_rational(lo_hi[0]), parse_rational(lo_hi[1])
     if lo <= 0 or hi <= lo:
         raise UsageError("--t-range needs 0 < lo < hi")
-    if args.steps < 2:
-        raise UsageError("--steps must be at least 2")
+    _check_range("--steps", args.steps, 2, MAX_STEPS)
     pkg = geometry.curvature_package(data)
     disc = pkg.discriminant
     lines = ["t,scal,Q,alpha,beta,discriminant"]
@@ -291,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="write floating-point samples as CSV")
     _add_data_arguments(p_sample)
     p_sample.add_argument("--t-range", required=True, metavar="lo:hi")
-    p_sample.add_argument("--steps", type=int, required=True)
+    p_sample.add_argument("--steps", type=int, required=True, help=f"sample points, 2 to {MAX_STEPS}")
     p_sample.add_argument("--out", required=True, help="output path, or - for stdout")
     p_sample.set_defaults(handler=_cmd_sample)
 

@@ -57,7 +57,9 @@ class SubmersionData:
         if problems:
             raise ValidationError(problems)
         for field in fields(self)[2:]:
-            object.__setattr__(self, field.name, Fraction(getattr(self, field.name)))
+            value = getattr(self, field.name)
+            if type(value) is not Fraction:
+                object.__setattr__(self, field.name, Fraction(value))
         n, l, zeta, eta = self.n, self.l, self.zeta, self.eta
         if n < 5:
             problems.append(f"total dimension n={n} must be at least 5")
@@ -125,8 +127,8 @@ def curvature_package(data: SubmersionData) -> CurvaturePackage:
     n, l = data.n, data.l
     t = LaurentPoly.t_power(1)
 
-    ric_vertical = LaurentPoly({-1: data.lambda_f, 1: data.eta})
-    ric_horizontal = LaurentPoly({0: data.lambda_b, 1: -2 * data.zeta})
+    ric_vertical = LaurentPoly.t_power(-1, data.lambda_f) + LaurentPoly.t_power(1, data.eta)
+    ric_horizontal = LaurentPoly.t_power(1, -2 * data.zeta) + data.lambda_b
     scal = l * ric_vertical + (n - l) * ric_horizontal
     ric_norm_sq = l * ric_vertical**2 + (n - l) * ric_horizontal**2
     q_curv = pointwise_q(n, scal, ric_norm_sq)
@@ -151,17 +153,12 @@ def pointwise_q(
 ) -> Fraction | LaurentPoly:
     """Q from raw ingredients at a point of an n-manifold, n >= 3.
 
-    The ingredients may be rationals or Laurent polynomials in t; each
-    enters as a rational constant times the argument.
+    The ingredients may be rationals or Laurent polynomials in t.  All
+    three terms sit over the one denominator 8 (n-1)^2 (n-2)^2, so each
+    enters as an integer times the argument, and the sum is divided once.
     """
-    return (
-        Fraction(1, 2 * (n - 1)) * lap_scal
-        - Fraction(2, (n - 2) ** 2) * ric_norm_sq
-        + Fraction(n**3 - 4 * n**2 + 16 * n - 16, 8 * (n - 1) ** 2 * (n - 2) ** 2) * scal * scal
+    return Fraction(1, 8 * (n - 1) ** 2 * (n - 2) ** 2) * (
+        (n**3 - 4 * n**2 + 16 * n - 16) * scal * scal
+        - 16 * (n - 1) ** 2 * ric_norm_sq
+        + 4 * (n - 1) * (n - 2) ** 2 * lap_scal
     )
-
-
-def einstein_q(n: int, einstein_constant: Scalar) -> Fraction:
-    """Q of an Einstein n-manifold with Ric = c g."""
-    c = Fraction(einstein_constant)
-    return pointwise_q(n, n * c, n * c**2, 0)

@@ -35,8 +35,10 @@ from qcurv.catalog import (
     members,
     theorem_a_table,
 )
-from qcurv.geometry import SubmersionData, curvature_package, einstein_q
+from qcurv.geometry import SubmersionData, curvature_package
 from qcurv.algebra.roots import isolate_positive_roots
+
+from einstein import einstein_q
 
 
 def _report(

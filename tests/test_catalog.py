@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qcurv.algebra.laurent import LaurentPoly
+from qcurv.algebra.roots import isolate_positive_roots
 from qcurv.asymptotics import q_limit_signs
 from qcurv.catalog import (
     FAMILIES,
@@ -154,3 +155,40 @@ def test_q_limit_signs_match_published_cases() -> None:
             assert at_inf == want_inf, str(m)
         else:
             assert at_inf in ("+", "-", "0"), str(m)
+
+
+# The homogeneous Einstein metrics in each family, as fibre scales t:
+# the round metric at t = 1, Jensen's on S^{4q+3}, Ziller's on CP^{2q+1}
+# and Bourguignon-Karcher's on S^15.
+EINSTEIN_SCALES = {
+    "i": lambda q: {Fraction(1)},
+    "ii": lambda q: {Fraction(1), Fraction(1, 2 * q + 3)},
+    "iii": lambda q: {Fraction(1), Fraction(1, q + 1)},
+    "iv": lambda q: {Fraction(1), Fraction(3, 11)},
+}
+# (lambda_F, lambda_B): Einstein constants of the fibre S^1, S^3, S^2(1/2)
+# or S^7, and of the base CP^q, HP^q or S^8(1/2).
+EINSTEIN_CONSTANTS = {
+    "i": lambda q: (0, 2 * q + 2),
+    "ii": lambda q: (2, 4 * q + 8),
+    "iii": lambda q: (4, 4 * q + 8),
+    "iv": lambda q: (6, 28),
+}
+
+
+def test_known_einstein_metrics_are_the_only_einstein_members() -> None:
+    checks = 0
+    for fam in members(200):
+        data = hopf_data(fam)
+        pkg = curvature_package(data)
+        assert (data.lambda_f, data.lambda_b) == EINSTEIN_CONSTANTS[fam.family](fam.q)
+        scales = EINSTEIN_SCALES[fam.family](fam.q)
+        for t in scales:
+            assert pkg.ric_vertical(t) == pkg.ric_horizontal(t), (str(fam), t)
+            checks += 1
+        # t * (Ric_vertical - Ric_horizontal): its positive roots are the Einstein scales.
+        einstein = LaurentPoly({2: data.eta + 2 * data.zeta, 1: -data.lambda_b, 0: data.lambda_f})
+        assert einstein == LaurentPoly.t_power(1) * (pkg.ric_vertical - pkg.ric_horizontal)
+        assert all(einstein(t) == 0 for t in scales)
+        assert len(isolate_positive_roots(einstein.clear_denominators()[0])) == len(scales)
+    assert checks == 1001

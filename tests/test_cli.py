@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from qcurv import catalog
-from qcurv.cli import MAX_EIGS, MAX_Q, run
+from qcurv.cli import MAX_EIGS, MAX_Q, MAX_STEPS, run
 from qcurv.geometry import SubmersionData, curvature_package
 
 CUSTOM_7 = "n=7,l=3,zeta=3,eta=4,lambda_f=2,lambda_b=12"
@@ -89,6 +89,14 @@ def test_usage_errors_exit_2(capsys, argv: tuple[str, ...]) -> None:
             ("instants", "--family", "iv", "--eigs", str(MAX_EIGS + 1)),
             f"--eigs must be between 1 and {MAX_EIGS}, got {MAX_EIGS + 1}",
         ),
+        (
+            ("curvature", "--family", "ii", "--q", str(MAX_Q + 1)),
+            f"--q must be between 1 and {MAX_Q}, got {MAX_Q + 1}",
+        ),
+        (
+            ("sample", "--family", "ii", "--t-range", "1:2", "--steps", "100000000000", "--out", "-"),
+            f"--steps must be between 2 and {MAX_STEPS}, got 100000000000",
+        ),
     ],
 )
 def test_size_arguments_above_their_ceiling_exit_2(capsys, argv, message: str) -> None:
@@ -98,7 +106,14 @@ def test_size_arguments_above_their_ceiling_exit_2(capsys, argv, message: str) -
 
 
 @pytest.mark.parametrize(
-    "command, ceiling", [("theorem-a", MAX_Q), ("verify-appendix", MAX_Q), ("instants", MAX_EIGS)]
+    "command, ceiling",
+    [
+        ("theorem-a", MAX_Q),
+        ("verify-appendix", MAX_Q),
+        ("instants", MAX_EIGS),
+        ("curvature", MAX_Q),
+        ("sample", MAX_STEPS),
+    ],
 )
 def test_help_states_the_ceilings(capsys, command: str, ceiling: int) -> None:
     assert run([command, "--help"]) == 0

@@ -8,12 +8,9 @@ from hypothesis import given, settings, strategies as st
 from qcurv.algebra.laurent import LaurentPoly
 from qcurv.bifurcation import find_instants
 from qcurv.errors import ValidationError
-from qcurv.geometry import (
-    SubmersionData,
-    curvature_package,
-    einstein_q,
-    pointwise_q,
-)
+from qcurv.geometry import SubmersionData, curvature_package, pointwise_q
+
+from einstein import einstein_q
 
 # Fibre S^3 over S^4, round total space S^7 at t = 1.
 ROUND_7 = SubmersionData(7, 3, Fraction(3), Fraction(4), Fraction(2), Fraction(12))
@@ -141,6 +138,35 @@ def test_pointwise_and_einstein_q_values() -> None:
     # The Laplacian term enters with coefficient 1/(2(n-1)).
     assert pointwise_q(5, 20, 80, 8) == Fraction(105, 8) + 1
     assert einstein_q(6, 0) == 0
+
+
+def three_fraction_q(n: int, scal, ric_norm_sq, lap_scal=0):
+    """Q as three rational constants times the ingredients: the reference for pointwise_q."""
+    return (
+        Fraction(1, 2 * (n - 1)) * lap_scal
+        - Fraction(2, (n - 2) ** 2) * ric_norm_sq
+        + Fraction(n**3 - 4 * n**2 + 16 * n - 16, 8 * (n - 1) ** 2 * (n - 2) ** 2) * scal * scal
+    )
+
+
+ingredients = st.one_of(
+    st.integers(min_value=-60, max_value=60),
+    st.fractions(min_value=-60, max_value=60, max_denominator=12),
+    st.dictionaries(
+        st.integers(min_value=-2, max_value=2),
+        st.fractions(min_value=-20, max_value=20, max_denominator=8),
+        max_size=4,
+    ).map(LaurentPoly),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=3, max_value=40), ingredients, ingredients, ingredients)
+def test_pointwise_q_matches_the_three_fraction_formula(n: int, scal, ric_norm_sq, lap_scal) -> None:
+    want = three_fraction_q(n, scal, ric_norm_sq, lap_scal)
+    got = pointwise_q(n, scal, ric_norm_sq, lap_scal)
+    assert got == want and type(got) is type(want)
+    assert pointwise_q(n, scal, ric_norm_sq) == three_fraction_q(n, scal, ric_norm_sq)
 
 
 @settings(max_examples=80, deadline=None)

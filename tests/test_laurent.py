@@ -120,7 +120,8 @@ def oracle_cleared(a: Terms) -> tuple[tuple[int, ...], int]:
     return tuple(int(a.get(e, 0) * m) for e in range(low, max(a) + 1)), -low
 
 
-scalars = st.one_of(coeffs, st.integers(min_value=-9, max_value=9)).filter(bool)
+scalars_or_zero = st.one_of(coeffs, st.integers(min_value=-9, max_value=9))
+scalars = scalars_or_zero.filter(bool)
 
 
 @given(terms, terms, scalars, st.integers(min_value=0, max_value=3))
@@ -178,3 +179,79 @@ def test_power_and_scalar_arithmetic() -> None:
     assert (3 * t / 3) == t
     with pytest.raises(DomainError):
         t ** -1
+
+
+def test_zero_scalar_operands_give_the_zero_polynomial() -> None:
+    p = LaurentPoly({-2: Fraction(1, 3), 1: 4})
+    zero = LaurentPoly()
+    for poly in (
+        p * 0,
+        0 * p,
+        p * Fraction(0),
+        LaurentPoly.const(0),
+        LaurentPoly.t_power(3, 0),
+        LaurentPoly.t_power(-2, Fraction(0)),
+        p - p,
+        zero**1,
+        zero**3,
+    ):
+        assert poly == zero and poly == 0 and 0 == poly and hash(poly) == hash(zero)
+        assert poly.is_zero and not poly and poly.items() == ()
+        assert poly.evaluate(Fraction(-2, 3)) == 0
+    assert p + 0 == 0 + p == p - 0 == p
+    assert zero**0 == 1 and p != 0
+
+
+@given(terms, scalars_or_zero, st.integers(min_value=-4, max_value=4))
+def test_scalar_operands_match_dict_oracle(a: Terms, c: Fraction, e: int) -> None:
+    p = LaurentPoly(a)
+    a = nonzero(a)
+    constant = nonzero({0: c})
+    cases = [
+        (p * c, oracle_scale(a, c)),
+        (c * p, oracle_scale(a, c)),
+        (p + c, oracle_add(a, constant)),
+        (c + p, oracle_add(a, constant)),
+        (LaurentPoly.const(c), constant),
+        (LaurentPoly.t_power(e, c), nonzero({e: c})),
+        (LaurentPoly.t_power(e, 0), {}),
+        (p**0, {0: Fraction(1)}),
+        (p**1, a),
+    ]
+    for poly, want in cases:
+        assert poly.items() == tuple(want.items())
+        assert poly == LaurentPoly(want) and hash(poly) == hash(LaurentPoly(want))
+    assert (p == c) == (c == p) == (a == constant)
+
+
+def test_scalar_paths_keep_their_errors() -> None:
+    p = LaurentPoly({-1: 2, 1: Fraction(1, 3)})
+    for exp in (Fraction(1), 1.0, "1"):
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            LaurentPoly.t_power(exp)
+    for op in (p.__add__, p.__radd__, p.__sub__, p.__mul__, p.__rmul__, p.__eq__):
+        assert op(0.5) is NotImplemented
+    for operate in (lambda: p * 0.5, lambda: 0.5 + p, lambda: 0.5 - p):
+        with pytest.raises(TypeError):
+            operate()
+    for exponent in (-1, 2.0, Fraction(2)):
+        with pytest.raises(DomainError):
+            p**exponent
+    with pytest.raises(ZeroDivisionError):
+        p / 0
+
+
+signed_points = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=30),
+    st.integers(min_value=-6, max_value=6),
+).filter(bool)
+
+
+@pytest.mark.parametrize("low", [-3, 0, 2])
+@given(st.lists(coeffs, min_size=1, max_size=5).filter(lambda cs: cs[0] != 0), signed_points)
+def test_evaluate_matches_a_term_by_term_sum(low: int, cs: list[Fraction], t: Fraction) -> None:
+    p = LaurentPoly({low + i: c for i, c in enumerate(cs)})
+    assert p.min_exp == low
+    value = p.evaluate(t)
+    assert type(value) is Fraction
+    assert value == sum((c * Fraction(t) ** (low + i) for i, c in enumerate(cs)), Fraction(0))
