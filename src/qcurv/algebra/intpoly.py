@@ -4,7 +4,7 @@ Coefficients are stored ascending (index k holds the t**k coefficient)
 with no trailing zeros, so the zero polynomial is the empty tuple.  The
 routines back the root isolation code: Taylor shift, monomial scaling,
 content, the value of p at num / den scaled to an integer, exact
-division, the Cauchy root bound and one pseudo-remainder that drives
+division, a positive-root bound and one pseudo-remainder that drives
 both the gcd and the Sturm chain (a primitive remainder sequence:
 pseudo-division, then division by the content at every step).  No
 rational number is formed.
@@ -200,17 +200,27 @@ def count_roots_halfopen(p: Sequence[int], lo: Rational, hi: Rational) -> int:
 
 
 def cauchy_root_bound_pow2(p: Sequence[int]) -> int:
-    """A power of two strictly exceeding every real root of p.
+    """A power of two b >= 1 strictly exceeding every positive root of p.
 
-    The smallest b with b * |lead| >= |lead| + max |c_i|, that is
-    b >= 1 + max |c_i| / |lead|.
+    With a_n > 0, every positive root is below 2 max (-a_i / a_n)**(1 / (n - i))
+    over the negative a_i (Kioustelidis, JCAM 16, 1986).  b is the smallest
+    power of two above that bound, a_n (b / 2)**(n - i) > -a_i for each such
+    i, unless the Cauchy bound is smaller: the smallest b with
+    b a_n >= a_n + max |a_i|, which exceeds every real root.
     """
     q = trim(p)
     if degree(q) < 1:
         return 1
-    lead = abs(q[-1])
-    bound = lead + max(abs(c) for c in q[:-1])
-    b = 1
-    while b * lead < bound:
-        b <<= 1
-    return b
+    if q[-1] < 0:
+        q = tuple(-c for c in q)
+    lead, n = q[-1], len(q) - 1
+    cauchy = 1 << (-(-max(abs(c) for c in q[:-1]) // lead)).bit_length()
+    j = 0
+    for i, c in enumerate(q[:-1]):
+        if c < 0:
+            # a_n 2**(j (n - i)) > -a_i 2**(n - i), with b = 2**j.
+            k, x = n - i, -c << (n - i)
+            j = max(j, (x.bit_length() - lead.bit_length()) // k)
+            while lead << (j * k) <= x:
+                j += 1
+    return min(1 << j, cauchy)

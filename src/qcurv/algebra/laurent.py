@@ -81,17 +81,7 @@ class LaurentPoly:
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        den = lcm(self._den, other._den)
-        low = min(self._low, other._low)
-        out = [0] * (max(self._low + len(self._num), other._low + len(other._num)) - low)
-        for poly in (self, other):
-            scale, offset = den // poly._den, poly._low - low
-            for i, c in enumerate(poly._num):
-                out[offset + i] += c * scale
-        return _make(low, out, den)
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
@@ -99,13 +89,10 @@ class LaurentPoly:
         return _make(self._low, [-c for c in self._num], self._den)
 
     def __sub__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return _sum(self, other, -1)
 
     def __rsub__(self, other: Scalar) -> "LaurentPoly":
-        return (-self) + other
+        return _sum(other, self, -1)
 
     def __mul__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
@@ -183,7 +170,12 @@ class LaurentPoly:
 
     def to_json(self) -> dict[str, str]:
         """JSON object keyed by exponent (ascending), values in p/q form."""
-        return {str(k): format_rational(c) for k, c in self.items()}
+        out, low, den = {}, self._low, self._den
+        for i, c in enumerate(self._num):
+            if c:
+                g = gcd(c, den)
+                out[str(low + i)] = f"{c // g}/{den // g}" if g != den else str(c // g)
+        return out
 
     def __repr__(self) -> str:
         if not self._num:
@@ -218,6 +210,21 @@ def _make(low: int, num: Sequence[int], den: int) -> LaurentPoly:
     # With no numerator left g == den, and the zero polynomial is (0, (), 1).
     poly._low = low + start if poly._num else 0
     return poly
+
+
+def _sum(a: object, b: object, sign: int) -> LaurentPoly:
+    """a + sign * b, aligned over one denominator and normalised once."""
+    a, b = _coerce(a), _coerce(b)
+    if a is NotImplemented or b is NotImplemented:
+        return NotImplemented
+    den = lcm(a._den, b._den)
+    low = min(a._low, b._low)
+    out = [0] * (max(a._low + len(a._num), b._low + len(b._num)) - low)
+    for poly, scale in ((a, den // a._den), (b, sign * (den // b._den))):
+        offset = poly._low - low
+        for i, c in enumerate(poly._num):
+            out[offset + i] += c * scale
+    return _make(low, out, den)
 
 
 def _coerce(value: object) -> LaurentPoly:

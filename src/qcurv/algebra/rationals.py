@@ -25,9 +25,9 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction in the canonical ``p/q`` (or bare ``p``) form."""
-    return str(Fraction(value))
+def format_rational(value: Scalar) -> str:
+    """Render an int or Fraction in the canonical ``p/q`` (or bare ``p``) form."""
+    return str(value)
 
 
 def sign(x: Scalar) -> int:

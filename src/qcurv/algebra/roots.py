@@ -3,32 +3,31 @@
 Isolation uses Descartes' rule of signs on Moebius-transformed
 polynomials with dyadic bisection: a candidate interval is accepted once
 the sign-variation count of (x+1)^n p(1/(x+1)) drops to 0 or 1.  The
-input polynomial is replaced by its squarefree part for the search, so
-roots of any multiplicity are isolated; the original polynomial is kept
-on the box because multiplicity questions (simplicity, common roots
-with another polynomial) are asked about it, not about the radical.
+search runs on the squarefree part, so roots of any multiplicity are
+isolated; the box keeps the original polynomial, which multiplicity
+questions (simplicity, common roots with another polynomial) are about.
 
 A box holds integer endpoint numerators over one positive denominator,
-a power of two for every box made here: the search works on [0, 2**b]
-and each later step halves an interval.  The sign of p at num / den
-(den > 0) is the sign of the integer den**deg(p) p(num / den), so box
-checks, comparisons and refinement evaluate in integers, and a box made
-by halving takes its parent's sign at the left end instead of evaluating
-it again.  Fractions appear only at the box boundary: the constructor,
-``lo``, ``hi``, ``width`` and the argument of ``compare_to_rational``.
+and the sign of p at num / den is the sign of the integer
+den**deg(p) p(num / den), so every check evaluates in integers.
+Fractions appear only at the boundary: the constructor, ``lo``, ``hi``,
+``width`` and the argument of ``compare_to_rational``.
 
-Boxes are immutable to their users.  Refinement returns a new, narrower
-box; a bisection point that happens to hit the root exactly collapses
-the box to width zero.  ``compare`` and the instant sweep in
-``bifurcation`` quarter a box's private sub-box ``_narrow`` and start
-there the next time; it is a node of the box's own bisection tree, so
-refinement starts there too, with the same result.
+Boxes are immutable.  ``refine`` returns what bisection to a width
+gives, but lands on it directly from a float Newton start.  Bisection
+from a standard dyadic cell, which is every box isolation makes, ends on
+the standard dyadic cell of width 2**-k holding the root (or on the
+root), so the result depends only on the root and k.  ``sort_by_root``
+orders boxes by their ends and sends only overlapping ones to the exact
+``compare``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from functools import cmp_to_key
+from math import lcm
+from typing import Any, Callable, Sequence
 
 from ..errors import DomainError
 from .intpoly import (
@@ -66,7 +65,7 @@ class RootBox:
     are ``_lo / _den`` and ``_hi / _den``, integers with ``_den > 0``.
     """
 
-    __slots__ = ("poly", "_lo", "_hi", "_den", "_sqfree", "_sign_lo", "_narrow")
+    __slots__ = ("poly", "_lo", "_hi", "_den", "_sqfree", "_sign_lo")
 
     def __init__(self, poly: Sequence[int], lo: Fraction | int, hi: Fraction | int):
         poly = trim(poly)
@@ -84,7 +83,7 @@ class RootBox:
         if lo < hi and sign_lo * _sign_at(sqfree, hi_num, den) >= 0:
             raise DomainError("root box does not bracket a sign change")
         self.poly, self._sqfree, self._sign_lo = poly, sqfree, sign_lo
-        self._lo, self._hi, self._den, self._narrow = lo_num, hi_num, den, None
+        self._lo, self._hi, self._den = lo_num, hi_num, den
 
     @property
     def lo(self) -> Fraction:
@@ -102,38 +101,77 @@ class RootBox:
     def is_exact(self) -> bool:
         return self._lo == self._hi
 
-    def _bisect(self, num: int, den: int) -> "RootBox":
-        """Bisect to width at most num / den, or until a bisection point is the root."""
-        lo, hi, d = self._lo, self._hi, self._den
-        while (hi - lo) * den > num * d:
-            mid = lo + hi
-            lo, hi, d = 2 * lo, 2 * hi, 2 * d
-            s = _sign_at(self._sqfree, mid, d)
-            if not s:
-                return _box(self.poly, self._sqfree, mid, mid, d, 0)
-            if s == self._sign_lo:
-                lo = mid
-            else:
-                hi = mid
-        return _box(self.poly, self._sqfree, lo, hi, d, self._sign_lo)
-
-    def _quarter(self) -> "RootBox":
-        """Narrow the kept sub-box by two bisections (none if exact); return it."""
-        box = self._narrow or self
-        self._narrow = box._bisect(box._hi - box._lo, 4 * box._den)
-        return self._narrow
-
     def refine(self, width: Fraction | int | str) -> "RootBox":
-        """Shrink the box to at most the requested width by bisection."""
+        """Narrow to at most the requested width; the box itself if already that narrow.
+
+        The result is what bisection gives: after the least number j of
+        halvings that reaches the width, the grid cell holding the root,
+        or the root itself when it is a grid point.
+        """
         target = Fraction(width)
         num, den = target.numerator, target.denominator
         if num <= 0:
             raise DomainError("refinement width must be positive")
-        # Same bisection tree: start at the kept sub-box unless a fresh box stops above it.
-        box = self._narrow or self
-        if (box._hi - box._lo) * den <= num * box._den:
-            box = self
-        return box._bisect(num, den)
+        wide, narrow = (self._hi - self._lo) * den, num * self._den
+        if wide <= narrow:
+            return self
+        j = wide.bit_length() - narrow.bit_length()
+        j += wide > narrow << j
+        return self._land(j, self._float_guess(j))
+
+    def _float_guess(self, j: int) -> int:
+        """Near the grid index of the root after j halvings, by float Newton in the box.
+
+        It runs on sqfree(2**e y), |lo|, |hi| < 2**e, scaled into float range.
+        """
+        lo, hi, den, sqfree = self._lo, self._hi, self._den, self._sqfree
+        e = max(max(-lo, hi).bit_length() - den.bit_length() + 1, 0)
+        top = max(c.bit_length() + e * i for i, c in enumerate(sqfree))
+        coeffs = [c / (1 << top - e * i) for i, c in enumerate(sqfree)][::-1]
+        y_lo, y_hi = lo / (den << e), hi / (den << e)
+        y, tol = (y_lo + y_hi) / 2, (hi - lo) / (den << e + j + 2)
+        for _ in range(40):
+            value = slope = 0.0
+            for c in coeffs:
+                slope, value = slope * y + value, value * y + c
+            if (value > 0) - (value < 0) == self._sign_lo:
+                y_lo = y
+            else:
+                y_hi = y
+            new = y - value / slope if slope else y
+            if not y_lo <= new <= y_hi:
+                new = (y_lo + y_hi) / 2
+            step, y = y - new, new
+            if abs(step) <= tol + abs(y) * 1e-15:
+                break
+        n, q = y.as_integer_ratio()
+        return ((n * den << e + j) - (lo * q << j)) // ((hi - lo) * q)
+
+    def _land(self, j: int, guess: int) -> "RootBox":
+        """The cell of the j-fold halving that holds the root, or the root itself.
+
+        Point m of that grid is ((lo << j) + m (hi - lo)) / (den << j).  Signs are taken at
+        guess, then 1, 2, 4, ... points on until past the root (step outgrows the bracket),
+        then by bisection.
+        """
+        sqfree, lo, w, den = self._sqfree, self._lo << j, self._hi - self._lo, self._den << j
+        left, right = 0, 1 << j
+        probe, step = min(max(guess, 1), right - 1), 1
+        while right - left > 1:
+            s = _sign_at(sqfree, lo + probe * w, den)
+            if not s:
+                return _box(self.poly, sqfree, lo + probe * w, lo + probe * w, den, 0)
+            up = s == self._sign_lo  # the root lies above the probe
+            if up:
+                left = probe
+            else:
+                right = probe
+            if step < right - left:
+                probe = left + step if up else right - step
+            else:
+                probe = (left + right) // 2
+            step *= 2
+        return _box(self.poly, sqfree, lo + left * w, lo + right * w, den, self._sign_lo)
 
     def compare_to_rational(self, x: Fraction | int) -> int:
         """Sign of (root - x), decided exactly."""
@@ -146,11 +184,8 @@ class RootBox:
         return _sign_at(self._sqfree, num, den) * self._sign_lo
 
     def compare(self, other: "RootBox") -> int:
-        """Total order on the isolated roots (0 when they coincide).
-
-        Each side starts from its kept sub-box and keeps the narrower one found here.
-        """
-        a, b = self._narrow or self, other._narrow or other
+        """Total order on the isolated roots (0 when they coincide)."""
+        a, b = self, other
         common = None
         while True:
             if a.is_exact:
@@ -169,7 +204,7 @@ class RootBox:
                     common, max(a.lo, b.lo), min(a.hi, b.hi)
                 ):
                     return 0
-            a, b = self._quarter(), other._quarter()
+            a, b = a._land(2, 2), b._land(2, 2)
 
     def vanishes_at_root(self, g: Sequence[int]) -> bool:
         """Whether the polynomial g has a zero at this box's root."""
@@ -194,7 +229,7 @@ def _box(poly: Poly, sqfree: Poly, lo: int, hi: int, den: int, sign_lo: int) -> 
     """The box (lo / den, hi / den) of poly, its bracket and sqfree's sign at lo known."""
     box = object.__new__(RootBox)
     box.poly, box._sqfree, box._sign_lo = poly, sqfree, sign_lo
-    box._lo, box._hi, box._den, box._narrow = lo, hi, den, None
+    box._lo, box._hi, box._den = lo, hi, den
     return box
 
 
@@ -202,6 +237,35 @@ def root_is_simple(box: RootBox) -> bool:
     """True when the isolated root is a simple root of box.poly."""
     # A squarefree part as long as poly means poly itself is squarefree.
     return len(box._sqfree) == len(box.poly) or not box.vanishes_at_root(derivative(box.poly))
+
+
+def sort_by_root(items: Sequence[Any], key: Callable[[Any], tuple[RootBox, Any]]) -> list[Any]:
+    """The items ordered by root, equal roots by tie, where key(item) = (box, tie).
+
+    The boxes are sorted by (lo, hi, tie) and cut into runs that overlap;
+    boxes that only touch at an endpoint are in order.  A run of two or
+    more is sorted by the exact ``compare``: for boxes refined to one
+    width, roots that share a grid cell.
+    """
+    keyed = [key(item) for item in items]
+    den = lcm(*(box._den for box, _ in keyed))
+    ends = sorted(
+        (box._lo * (den // box._den), box._hi * (den // box._den), tie, i)
+        for i, (box, tie) in enumerate(keyed)
+    )
+    runs: list[list[int]] = []
+    reach = ends[0][0] if ends else 0
+    for lo, hi, _tie, i in ends:
+        if not runs or lo >= reach:
+            runs.append([])
+        runs[-1].append(i)
+        reach = max(reach, hi)
+
+    def by_root(i: int, j: int) -> int:
+        (a, s), (b, t) = keyed[i], keyed[j]
+        return a.compare(b) or (s > t) - (s < t)
+
+    return [items[i] for run in runs for i in sorted(run, key=cmp_to_key(by_root))]
 
 
 def isolate_positive_roots(coeffs: Sequence[int]) -> list[RootBox]:
@@ -218,35 +282,23 @@ def isolate_positive_roots(coeffs: Sequence[int]) -> list[RootBox]:
     _descartes_split(primitive(monomial_substitute(sf, bound)), 0, 0, intervals)
     # Attach sf, not squarefree_part(p): a factor t**k in p would make the
     # whole-polynomial radical vanish at a box endpoint lo == 0.
-    return [
-        _box(p, sf, *_settle_endpoints(sf, lo * bound, hi * bound, 1 << k))
-        for lo, hi, k in intervals
-    ]
+    return [_settled(p, sf, lo * bound, hi * bound, 1 << k) for lo, hi, k in intervals]
 
 
-def _settle_endpoints(sf: Poly, lo: int, hi: int, den: int) -> tuple[int, ...]:
-    """Shrink (lo / den, hi / den) until neither endpoint is a root of sf.
+def _settled(p: Poly, sf: Poly, lo: int, hi: int, den: int) -> RootBox:
+    """The box (lo / den, hi / den) of p, halved until neither endpoint is a root of sf.
 
     The splitter guarantees exactly one root of sf strictly inside, but a
-    sibling interval's exactly-hit root can sit on an endpoint.  Halving
-    toward the interior root removes it while keeping the bracket; just
-    right of a root of the squarefree sf, sf has the sign of sf' there.
-    A width-zero interval is a root and comes back with the same value.
-    Returns (lo, hi, den, sign of sf at lo), the sign 0 for a root.
+    sibling interval's exactly-hit root can sit on an endpoint.  Just right
+    of a root of the squarefree sf, sf has the sign of sf', which then
+    brackets the interior root.  A width-zero interval is a root (sign 0).
     """
-    s_lo, s_hi = _sign_at(sf, lo, den), _sign_at(sf, hi, den)
-    right_of_lo = s_lo or _sign_at(derivative(sf), lo, den)
-    while not (s_lo and s_hi):
-        mid = lo + hi
-        lo, hi, den = 2 * lo, 2 * hi, 2 * den
-        s = _sign_at(sf, mid, den)
-        if not s:
-            return mid, mid, den, 0
-        if s == right_of_lo:
-            lo, s_lo = mid, s
-        else:
-            hi, s_hi = mid, s
-    return lo, hi, den, s_lo
+    s_lo = _sign_at(sf, lo, den)
+    box = _box(p, sf, lo, hi, den, s_lo or _sign_at(derivative(sf), lo, den) * (lo < hi))
+    while not (box.is_exact or s_lo and _sign_at(sf, box._hi, box._den)):
+        box = box._land(1, 1)
+        s_lo = _sign_at(sf, box._lo, box._den)
+    return box
 
 
 def _descartes_split(r: Poly, c: int, k: int, out: list[tuple[int, int, int]]) -> None:

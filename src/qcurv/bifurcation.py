@@ -19,27 +19,24 @@ transversality and the scalar-coincidence decisions are algebraic,
 never numerical.  The curvature package is cached in ``geometry``: it
 is built once per datum, not once per eigenvalue.
 
-``enumerate_instants`` orders the instants of many eigenvalues with a
-separating sweep over the integer dyadic boxes of ``algebra.roots``
-rather than a comparison sort: overlapping boxes are quartered until
-they separate, and only pairs reach the exact ``RootBox.compare``.  At
-a fixed t the Jacobi quadratic has at most two roots lambda, so at most
-two distinct eigenvalues share an instant and the sweep terminates.
+``enumerate_instants`` refines each instant once, to ``DISPLAY_WIDTH``,
+onto the box that the ``instants`` command prints, then sorts the boxes
+once (``algebra.roots.sort_by_root``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Union
 
 from .algebra.laurent import LaurentPoly, Scalar
-from .algebra.roots import RootBox, isolate_positive_roots, root_is_simple
+from .algebra.roots import RootBox, isolate_positive_roots, root_is_simple, sort_by_root
 from .errors import DomainError
 from .geometry import SubmersionData, curvature_package
 
 Window = tuple[Fraction, Union[Fraction, None]]
+DISPLAY_WIDTH = Fraction(1, 10**12)
 
 
 @dataclass(frozen=True)
@@ -133,8 +130,8 @@ def enumerate_instants(
 
     The window is an open interval (lo, hi) with hi = None meaning
     +infinity; membership of each algebraic root is decided exactly.
-    Results are ordered by instant (exact comparison of roots), then by
-    eigenvalue; see ``_by_instant``.  The eigenvalues must increase
+    Each root comes refined to ``DISPLAY_WIDTH``, ordered by instant
+    (exactly), then by eigenvalue.  The eigenvalues must increase
     strictly, or DomainError is raised.  No attempt is made to certify
     which instants belong to an accumulating sequence; the asymptotic
     classifiers answer that.
@@ -157,57 +154,5 @@ def enumerate_instants(
                 continue
             if hi is not None and report.root.compare_to_rational(hi) >= 0:
                 continue
-            collected.append(report)
-    return _by_instant(collected)
-
-
-def _by_instant(reports: list[InstantReport]) -> list[InstantReport]:
-    """The reports ordered by instant, then by eigenvalue: a separating sweep.
-
-    The reports are sorted by the key (lo, hi, lambda) of their boxes and
-    cut into clusters of boxes that overlap strictly; boxes that only
-    touch at an endpoint are already in order.  A cluster of three or
-    more has every member of nonzero width quartered and is swept again.
-    A cluster of two is ordered by the exact ``RootBox.compare``, which
-    also detects a shared root, and then by lambda.
-
-    This ends because at a fixed t the Jacobi quadratic has at most two
-    roots lambda: at most two distinct eigenvalues share an instant, so
-    only pairs can stay unseparated while the boxes shrink.  Quartered
-    boxes are kept on each root (``RootBox._narrow``), where ``compare``
-    and display refinement continue from them.
-    """
-    ordered: list[InstantReport] = []
-    pending = _clusters(reports)[::-1]
-    while pending:
-        cluster = pending.pop()
-        if len(cluster) == 1:
-            ordered += cluster
-        elif len(cluster) == 2:
-            first, second = cluster
-            by_root = first.root.compare(second.root)
-            swap = by_root > 0 or (by_root == 0 and first.lam > second.lam)
-            ordered += [second, first] if swap else cluster
-        else:
-            for report in cluster:
-                report.root._quarter()
-            pending += _clusters(cluster)[::-1]
-    return ordered
-
-
-def _clusters(reports: list[InstantReport]) -> list[list[InstantReport]]:
-    """Reports sorted by (lo, hi, lambda), cut where their boxes stop overlapping."""
-    boxes = [report.root._narrow or report.root for report in reports]
-    den = lcm(*(box._den for box in boxes))
-    keys = sorted(
-        (box._lo * (den // box._den), box._hi * (den // box._den), report.lam, i)
-        for i, (report, box) in enumerate(zip(reports, boxes))
-    )
-    clusters: list[list[InstantReport]] = []
-    for lo, hi, _lam, i in keys:
-        if not clusters or lo >= reach:
-            clusters.append([])
-            reach = hi
-        clusters[-1].append(reports[i])
-        reach = max(reach, hi)
-    return clusters
+            collected.append(replace(report, root=report.root.refine(DISPLAY_WIDTH)))
+    return sort_by_root(collected, lambda report: (report.root, report.lam))

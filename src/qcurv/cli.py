@@ -27,7 +27,6 @@ from . import asymptotics, bifurcation, catalog, geometry
 from .algebra.rationals import parse_rational
 from .errors import DomainError, ValidationError
 
-_DISPLAY_WIDTH = Fraction(1, 10**12)
 # Ceilings on the size arguments: a mistyped huge value is a usage error,
 # not a run that never ends.  A run at any ceiling takes seconds.
 MAX_Q = 10_000
@@ -142,7 +141,7 @@ def _cmd_instants(args: argparse.Namespace) -> int:
         )
     payload = []
     for report in reports:
-        refined = dataclasses.replace(report, root=report.root.refine(_DISPLAY_WIDTH))
+        refined = dataclasses.replace(report, root=report.root.refine(bifurcation.DISPLAY_WIDTH))
         payload.append(refined.to_json())
     print(json.dumps(payload, indent=2))
     return 0

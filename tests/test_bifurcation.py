@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -8,11 +9,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qcurv import catalog
 from qcurv.algebra.laurent import LaurentPoly
-from qcurv.algebra.roots import RootBox
+from qcurv.algebra.roots import RootBox, sort_by_root
 from qcurv.bifurcation import (
+    DISPLAY_WIDTH,
     InstantReport,
     Spectrum,
-    _by_instant,
     enumerate_instants,
     find_instants,
     jacobi_residual,
@@ -228,7 +229,10 @@ def test_eigenbranch_sum_and_product(data: SubmersionData, t: Fraction) -> None:
 def compared_order(
     data: SubmersionData, spectrum: Spectrum, max_eigs: int
 ) -> list[InstantReport]:
-    """The order by a comparison sort of fresh boxes: the sweep's oracle."""
+    """The order by a comparison sort of fresh boxes, each then landed at the display width.
+
+    The oracle for ``enumerate_instants``, which lands first and sorts the landed boxes.
+    """
     reports = [
         report
         for k in range(1, max_eigs + 1)
@@ -241,14 +245,16 @@ def compared_order(
             return by_root
         return (r1.lam > r2.lam) - (r1.lam < r2.lam)
 
-    return sorted(reports, key=cmp_to_key(order))
+    return [
+        dataclasses.replace(r, root=r.root.refine(DISPLAY_WIDTH))
+        for r in sorted(reports, key=cmp_to_key(order))
+    ]
 
 
 def shown(reports: list[InstantReport]) -> list[tuple]:
-    """Eigenvalue, isolating box and displayed box of each report, in order."""
-    return [
-        (r.lam, r.root.to_json(), r.root.refine(Fraction(1, 10**12)).to_json()) for r in reports
-    ]
+    """Eigenvalue, box and certificates of each report, in order; the box is the displayed one."""
+    assert all(r.root.refine(DISPLAY_WIDTH) is r.root for r in reports)
+    return [(r.lam, r.root.to_json(), r.transversal, r.scalar_distinct) for r in reports]
 
 
 @pytest.mark.parametrize("fam", list(catalog.members(10)), ids=str)
@@ -278,24 +284,34 @@ def test_sweep_matches_the_comparison_sort_on_custom_data(
 
 
 def test_sweep_orders_a_shared_instant_by_eigenvalue() -> None:
-    # All five isolating boxes are (0, 8); t = 24/5 is an instant of both
-    # 1/72 and 47/144, so only compare's shared-root test can order them.
+    # t = 24/5 is an instant of both 1/72 and 47/144, so their display
+    # boxes are the same cell and only compare's shared-root test can
+    # order them (the five isolating boxes are all (0, 8)).
     data = SubmersionData(5, 4, 0, 0, 1, 1)
     eigenvalues = [Fraction(x) for x in ("1/100", "1/72", "1/5", "47/144", "1/3")]
     spectrum = Spectrum(lambda k: eigenvalues[k - 1])
     swept = enumerate_instants(data, spectrum, max_eigs=5)
     assert [str(r.lam) for r in swept] == ["1/3", "1/100", "1/72", "47/144", "1/5"]
     assert [r.root.compare_to_rational(Fraction(24, 5)) for r in swept] == [-1, -1, 0, 0, 1]
+    assert swept[2].root.to_json() == swept[3].root.to_json()
     assert shown(swept) == shown(compared_order(data, spectrum, 5))
 
 
 def test_sweep_breaks_a_shared_root_tie_by_eigenvalue_not_by_box() -> None:
-    # sqrt(2) in (1, 2) for the smaller eigenvalue and in (1/2, 2) for the
-    # larger one: the larger one's box sorts first, and only the eigenvalue
-    # puts it second.
-    small = InstantReport(Fraction(1), RootBox((-2, 0, 1), 1, 2), True, True)
-    large = InstantReport(Fraction(2), RootBox((6, -2, -3, 1), Fraction(1, 2), 2), True, True)
-    assert _by_instant([small, large]) == _by_instant([large, small]) == [small, large]
+    # sqrt(2) on its display cell for the smaller eigenvalue and in (5/4, 3/2)
+    # for the larger one: the larger one's box sorts first, and only the
+    # eigenvalue puts it second.  Boxes that are not dyadic cells, (1, 2)
+    # and (1/2, 2), are ordered the same way.
+    sqrt2, other = RootBox((-2, 0, 1), 1, 2), RootBox((6, -2, -3, 1), 1, 2)
+    for small_box, large_box in [
+        (sqrt2.refine(DISPLAY_WIDTH), other.refine(Fraction(1, 4))),
+        (sqrt2, RootBox((6, -2, -3, 1), Fraction(1, 2), 2)),
+    ]:
+        small = InstantReport(Fraction(1), small_box, True, True)
+        large = InstantReport(Fraction(2), large_box, True, True)
+        assert large.root.lo < small.root.lo
+        for reports in ([small, large], [large, small]):
+            assert sort_by_root(reports, lambda r: (r.root, r.lam)) == [small, large]
 
 
 @pytest.mark.parametrize(

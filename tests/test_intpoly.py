@@ -1,4 +1,4 @@
-"""Exact oracle for the integer gcd, squarefree part and Sturm count: sympy.
+"""Exact oracle for the integer gcd, squarefree part, Sturm count and root bound: sympy.
 
 Polynomials are drawn with planted shared factors and repeated factors, so
 the gcd and the squarefree part are not trivial.  Results are compared up
@@ -15,7 +15,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcurv.algebra.intpoly import count_roots_halfopen, poly_gcd, primitive, squarefree_part, trim
+from qcurv.algebra.intpoly import (
+    cauchy_root_bound_pow2,
+    count_roots_halfopen,
+    poly_gcd,
+    primitive,
+    squarefree_part,
+    trim,
+)
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -117,3 +124,45 @@ def test_count_roots_halfopen_across_a_degree_gap(p: tuple[int, ...]) -> None:
     ends = [Fraction(k, 2) for k in range(-6, 7)]
     for lo, hi in itertools.combinations(ends, 2):
         assert count_roots_halfopen(p, lo, hi) == sympy_count(list(p), lo, hi)
+
+
+def cauchy_pow2(p: list[int]) -> int:
+    """The smallest power of two b with b |a_n| >= |a_n| + max |a_i|: above every real root."""
+    b = 1
+    while b * abs(p[-1]) < abs(p[-1]) + max(abs(c) for c in p[:-1]):
+        b *= 2
+    return b
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-(10**6), max_value=10**6), min_size=2, max_size=7).filter(
+        lambda p: p[-1] != 0
+    ),
+    st.lists(st.integers(min_value=0, max_value=300), max_size=3),
+)
+def test_positive_root_bound_against_sympy(p: list[int], shifts: list[int]) -> None:
+    # Shifted coefficients put the roots far from 1 in both directions.
+    for i, k in enumerate(shifts):
+        p[i % len(p)] <<= k
+    bound = cauchy_root_bound_pow2(p)
+    assert bound >= 1 and bound & (bound - 1) == 0
+    assert bound <= cauchy_pow2(p)
+    for root in sympy.real_roots(to_sympy(p)):
+        assert root < bound
+    # Minimal: half the bound is not above the Kioustelidis bound, unless
+    # the Cauchy bound is the smaller one.
+    lead, n = abs(p[-1]), len(p) - 1
+    negative = [(abs(c), n - i) for i, c in enumerate(p[:-1]) if c * p[-1] < 0]
+    if 1 < bound < cauchy_pow2(p):
+        assert any(lead * (bound // 2) ** k <= c * 2**k for c, k in negative)
+
+
+def test_positive_root_bound_ignores_negative_roots() -> None:
+    # (t + 1000)(t - 1): the Cauchy bound 1024 covers -1000; the positive
+    # root bound is 2 sqrt(1000) < 64.
+    assert cauchy_pow2([-1000, 999, 1]) == 1024
+    assert cauchy_root_bound_pow2([-1000, 999, 1]) == 64
+    assert cauchy_root_bound_pow2([1000, 1001, 1]) == 1  # no positive root
+    # 2 sqrt(2**1100 + 1) is just above 2**551; the Cauchy bound is 2**1101.
+    assert cauchy_root_bound_pow2([-(2**1100 + 1), 0, 1]) == 2**552

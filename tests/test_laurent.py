@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -224,15 +225,26 @@ def test_scalar_operands_match_dict_oracle(a: Terms, c: Fraction, e: int) -> Non
     assert (p == c) == (c == p) == (a == constant)
 
 
+@given(polys, st.one_of(polys, coeffs, st.integers(min_value=-9, max_value=9)))
+def test_difference_is_the_sum_with_the_negation(p: LaurentPoly, q) -> None:
+    assert p - q == p + (-q)
+    assert q - p == -(p - q)
+
+
+@given(polys)
+def test_json_prints_each_coefficient_in_lowest_terms(p: LaurentPoly) -> None:
+    assert p.to_json() == {str(k): str(c) for k, c in p.items()}
+
+
 def test_scalar_paths_keep_their_errors() -> None:
     p = LaurentPoly({-1: 2, 1: Fraction(1, 3)})
     for exp in (Fraction(1), 1.0, "1"):
         with pytest.raises(TypeError, match="exponent must be an int"):
             LaurentPoly.t_power(exp)
-    for op in (p.__add__, p.__radd__, p.__sub__, p.__mul__, p.__rmul__, p.__eq__):
+    for op in (p.__add__, p.__radd__, p.__sub__, p.__rsub__, p.__mul__, p.__rmul__, p.__eq__):
         assert op(0.5) is NotImplemented
-    for operate in (lambda: p * 0.5, lambda: 0.5 + p, lambda: 0.5 - p):
-        with pytest.raises(TypeError):
+    for operate, symbol in ((lambda: p * 0.5, "*"), (lambda: 0.5 + p, "+"), (lambda: 0.5 - p, "-")):
+        with pytest.raises(TypeError, match=f"for {re.escape(symbol)}:"):
             operate()
     for exponent in (-1, 2.0, Fraction(2)):
         with pytest.raises(DomainError):

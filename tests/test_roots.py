@@ -11,10 +11,11 @@ from qcurv.algebra.intpoly import (
     divexact,
     evaluate,
     poly_gcd,
+    squarefree_part,
     trim,
 )
 from qcurv.algebra.roots import RootBox, isolate_positive_roots, root_is_simple
-from qcurv.bifurcation import enumerate_instants
+from qcurv.bifurcation import DISPLAY_WIDTH, enumerate_instants, find_instants
 from qcurv.catalog import HopfFamily, base_spectrum, hopf_data
 
 
@@ -305,7 +306,7 @@ def test_staged_refinement_lands_on_the_same_box(drawn, halvings: int) -> None:
 
 
 def fresh(box: RootBox) -> RootBox:
-    """The same interval and polynomial, with nothing kept from earlier comparisons."""
+    """The same interval and polynomial, built by the public constructor."""
     return RootBox(box.poly, box.lo, box.hi)
 
 
@@ -318,7 +319,7 @@ def test_compare_does_not_depend_on_earlier_comparisons(drawn: list, warm_up: li
     items = [item for one in drawn for item in planted_boxes(one)]
     intervals = [(box.lo, box.hi) for box, _ in items]
     n = len(items)
-    for i, j in warm_up:  # narrows the boxes in an order hypothesis picks
+    for i, j in warm_up:  # comparisons in an order hypothesis picks
         items[i % n][0].compare(items[j % n][0])
     for a, sa in items:
         for b, sb in items:
@@ -345,29 +346,79 @@ def test_disjoint_boxes_are_ordered_without_a_gcd(monkeypatch) -> None:
     assert len(calls) == 1
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(planted, min_size=2, max_size=3),
-    st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50)), min_size=1, max_size=30),
+def bisected(box: RootBox, width: Fraction) -> tuple[Fraction, Fraction]:
+    """Plain bisection of the box to at most width, over Q: the oracle for refine."""
+
+    def sign_at(x: Fraction) -> int:
+        return sign(sum((c * x**i for i, c in enumerate(squarefree_part(box.poly))), Fraction(0)))
+
+    lo, hi = box.lo, box.hi
+    sign_lo = sign_at(lo)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        s = sign_at(mid)
+        if not s:
+            return mid, mid
+        lo, hi = (mid, hi) if s == sign_lo else (lo, mid)
+    return lo, hi
+
+
+widths = st.one_of(
+    st.integers(min_value=1, max_value=99).map(lambda k: Fraction(1, 2**k)),
+    st.fractions(min_value=Fraction(1, 10**30), max_value=Fraction(1, 2)).filter(lambda w: w > 0),
 )
-def test_refine_after_comparisons_matches_a_fresh_box(drawn: list, warm_up: list) -> None:
-    items = [box for one in drawn for box, _ in planted_boxes(one)]
-    n = len(items)
-    for i, j in warm_up:  # narrows the boxes in an order hypothesis picks
-        items[i % n].compare(items[j % n])
-    for box in items:
-        assert_refines_like_a_fresh_box(box)
 
 
-def assert_refines_like_a_fresh_box(box: RootBox) -> None:
-    """refine gives what it gives on the same box with nothing kept from earlier narrowing."""
-    if box.is_exact:
-        return
-    narrowed = (box._narrow or box).width or box.width
-    # Targets above the narrowed width, on it and below it.
-    for scale in (4, 2, 1, Fraction(3, 4), Fraction(1, 2**20)):
-        tight, direct = box.refine(narrowed * scale), fresh(box).refine(narrowed * scale)
-        assert (tight.lo, tight.hi) == (direct.lo, direct.hi)
+@settings(max_examples=40, deadline=None)
+@given(planted, widths, widths, st.integers(min_value=1, max_value=12))
+def test_refine_is_plain_bisection_from_any_start(drawn, width, earlier, halvings: int) -> None:
+    for isolated, _ in planted_boxes(drawn):
+        if isolated.is_exact:
+            assert isolated.refine(width) is isolated
+            continue
+        # The isolating box is an ancestor of the partly bisected one; a box
+        # landed at another width is what an earlier refinement returned.
+        partly = isolated.refine(isolated.width / 2**halvings)
+        for start in (isolated, partly, isolated.refine(earlier)):
+            tight = start.refine(width)
+            assert (tight.lo, tight.hi) == bisected(start, width)
+            if width < start.width:
+                assert (tight.lo, tight.hi) == bisected(isolated, width)
+            assert tight.refine(width) is tight
+
+
+def test_refine_of_a_box_that_is_not_a_dyadic_cell_is_plain_bisection() -> None:
+    box = RootBox((-2, 0, 1), Fraction(4, 3), Fraction(3, 2))
+    for width in (Fraction(1, 7), Fraction(1, 10**12), Fraction(1, 3**70)):
+        tight = box.refine(width)
+        assert (tight.lo, tight.hi) == bisected(box, width)
+    # The bisection point 1 of (0, 2) is the root of t - 1.
+    assert bisected(RootBox((-1, 1), 0, 2), Fraction(1, 5)) == (1, 1)
+    assert RootBox((-1, 1), 0, 2).refine(Fraction(1, 5)).to_json() == ["1", "1"]
+
+
+@pytest.mark.parametrize(
+    "fam, lam, instant",
+    [(HopfFamily("i", 7), 576, 144), (HopfFamily("i", 10), 44, 286)],
+    ids=str,
+)
+def test_landing_hits_the_exact_rational_instants(fam: HopfFamily, lam: int, instant: int) -> None:
+    reports = find_instants(hopf_data(fam), lam)
+    (report,) = [r for r in reports if r.root.compare_to_rational(instant) == 0]
+    for width in (Fraction(1, 2**10), DISPLAY_WIDTH, Fraction(1, 10**30)):
+        tight = report.root.refine(width)
+        assert tight.is_exact and tight.lo == instant
+        assert (tight.lo, tight.hi) == bisected(report.root, width)
+
+
+def test_landing_far_from_zero_starts_from_a_float_in_range() -> None:
+    # The root sqrt(2**1100 + 1) is just above 2**550.  The constant
+    # coefficient is beyond the float range, so an unscaled float start
+    # would overflow.
+    (box,) = isolate_positive_roots((-(2**1100 + 1), 0, 1))
+    tight = box.refine(Fraction(1, 10**12))
+    assert (tight.lo, tight.hi) == (2**550, 2**550 + Fraction(1, 2**40))
+    assert (tight.lo, tight.hi) == bisected(box, Fraction(1, 10**12))
 
 
 SWEPT = [HopfFamily("i", 10), HopfFamily("ii", 3), HopfFamily("iii", 9), HopfFamily("iv")]
@@ -375,8 +426,42 @@ SWEPT = [HopfFamily("i", 10), HopfFamily("ii", 3), HopfFamily("iii", 9), HopfFam
 
 @pytest.mark.parametrize("fam", SWEPT, ids=str)
 def test_refine_after_the_instant_sweep_matches_a_fresh_box(fam: HopfFamily) -> None:
-    reports = enumerate_instants(hopf_data(fam), base_spectrum(fam), max_eigs=40)
-    narrowed = [r.root for r in reports if r.root._narrow is not None]
-    assert narrowed  # the sweep quartered some of the boxes
-    for box in narrowed:
-        assert_refines_like_a_fresh_box(box)
+    # The sweep returns each root landed at the display width: the box that
+    # bisection of the fresh isolating box gives, which refines on the same way.
+    data, spectrum = hopf_data(fam), base_spectrum(fam)
+    reports = enumerate_instants(data, spectrum, max_eigs=40)
+    for k in range(1, 41):
+        lam = spectrum.eigenvalue(k)
+        landed = [r.root for r in reports if r.lam == lam]
+        isolated = [r.root for r in find_instants(data, lam)]
+        assert len(landed) == len(isolated)
+        for box, start in zip(landed, isolated):
+            assert (box.lo, box.hi) == bisected(start, DISPLAY_WIDTH)
+            assert box.refine(DISPLAY_WIDTH) is box  # the display refines nothing again
+            assert_refines_like_a_fresh_box(box, start)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(planted, min_size=2, max_size=3),
+    st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50)), min_size=1, max_size=30),
+)
+def test_refine_after_comparisons_matches_a_fresh_box(drawn: list, warm_up: list) -> None:
+    items = [box for one in drawn for box, _ in planted_boxes(one)]
+    intervals = [(box.lo, box.hi) for box in items]
+    n = len(items)
+    for i, j in warm_up:  # comparisons in an order hypothesis picks
+        items[i % n].compare(items[j % n])
+    assert [(box.lo, box.hi) for box in items] == intervals
+    for box in items:
+        assert_refines_like_a_fresh_box(box, fresh(box))
+
+
+def assert_refines_like_a_fresh_box(box: RootBox, start: RootBox) -> None:
+    """box refines as plain bisection of start does, start a box it came from (or a copy)."""
+    # Targets above the box's width, on it and below it.
+    for scale in (4, 2, 1, Fraction(3, 4), Fraction(1, 2**20)):
+        width = box.width * scale or DISPLAY_WIDTH * scale
+        tight = box.refine(width)
+        expected = bisected(start, width) if width < box.width else (box.lo, box.hi)
+        assert (tight.lo, tight.hi) == expected
